@@ -37,7 +37,7 @@ for t in (30.0, 40.0, 50.0):
 
 print("\n== inverting the law: field that programs a target weight ==")
 for w in (0.0, 0.5, 1.0, 2.0, 3.42):
-    print(f"  w = {w:4.2f} sk/pulse  ->  H_z = {field_for_weight(w, cal).h_z:.3f} mT")
+    print(f"  w = {w:4.2f} sk/pulse  ->  H_z = {field_for_weight(cal, w).h_z:.3f} mT")
 
 print("\n== resolvable synaptic states ==")
 print(f"  0.2 mT steps over the 2.8 mT usable span: "

@@ -15,16 +15,15 @@ from skysum import (
     TrackDevice,
     drift_correct,
     estimate_diameter,
+    field_for_weight,
     full_reversal_voltage,
     paper2024,
     stream,
 )
-from skysum.experiments import solve_field_for_weight
 
 cal = paper2024()
 zone = DetectionZone(center_x=8.0, center_y=3.0, side=6.0, capacity=81)
-field = solve_field_for_weight(cal, target_weight=1.0, duration=50.0,
-                               current_density=150.0)
+field = field_for_weight(cal, 1.0, duration=50.0, current_density=150.0)
 device = TrackDevice(cal=cal, zone=zone, field=field,
                      pulse=PulseTrain(1, 150.0, 50.0),
                      stochastic=StochasticModel(0.4))

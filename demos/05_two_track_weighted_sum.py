@@ -14,15 +14,14 @@ from skysum import (
     StochasticModel,
     build_crossbar,
     check_current_uniformity,
+    field_for_weight,
     paper2024_fig4,
     run_fig4_protocol,
     synaptic_weight,
 )
-from skysum.experiments import solve_field_for_weight
 
 cal = replace(paper2024_fig4(), per_skyrmion_voltage_std=0.0)
-field = solve_field_for_weight(cal, target_weight=1.0, duration=50.0,
-                               current_density=116.0)
+field = field_for_weight(cal, 1.0, duration=50.0, current_density=116.0)
 
 
 def run(durations, label):

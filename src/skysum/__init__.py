@@ -25,7 +25,6 @@ from .crossbar import (
     build_crossbar,
     check_current_uniformity,
     current_uniformity,
-    expected_sum,
     expected_sums,
     monte_carlo_sum_relative_std,
     run_fig4_protocol,
@@ -37,6 +36,7 @@ from .device import (
     PulseTrain,
     calibration_preset,
     current_density,
+    field_for_weight,
     paper2024,
     paper2024_fig4,
     step_displacement,
@@ -61,7 +61,6 @@ from .errors import (
     ValidationError,
 )
 from .nucleation import (
-    NucleationEvent,
     StochasticModel,
     WeightFit,
     analytic_sigma,
@@ -73,7 +72,7 @@ from .nucleation import (
     sample_pulse_counts,
     simulate_cumulative,
 )
-from .netmap import QuantizedLayer, field_for_weight, infer, quantize
+from .netmap import QuantizedLayer, infer, quantize
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     MeasurementTrace,

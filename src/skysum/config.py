@@ -18,18 +18,6 @@ import yaml
 from .device import DeviceCalibration, calibration_preset
 from .errors import ValidationError
 
-PROTOCOLS = (
-    "nucleation_sweep",
-    "detection_run",
-    "fig4_twotrack",
-    "montecarlo_sigma",
-    "pareto",
-    "netsim",
-)
-
-#: Protocols whose defaults need the two-track calibration.
-_FIG4_DEFAULT_PRESET = "paper2024_fig4"
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -51,6 +39,7 @@ class ExperimentSpec:
         """Apply command-line overrides on top of a parsed spec."""
         spec = self
         if seed is not None:
+            _expect(int(seed) >= 0, "seed", "must be >= 0")
             spec = replace(spec, seed=int(seed))
         if output_dir is not None:
             spec = replace(spec, output_dir=str(output_dir))
@@ -127,12 +116,15 @@ def load_document(path) -> dict:
 def resolve_calibration(doc: dict, protocol: str) -> tuple[DeviceCalibration, dict]:
     """Build the calibration from a {preset, overrides} block.
 
+    The preset defaults to the one the protocol's table entry names.
     Returns the calibration and a snapshot-friendly source description.
     """
+    from .experiments import PROTOCOLS, Protocol  # the table imports us
+
     block = doc.get("calibration", {})
     _expect(isinstance(block, dict), "calibration", "expected a mapping")
-    default_preset = (_FIG4_DEFAULT_PRESET if protocol == "fig4_twotrack"
-                      else "paper2024")
+    # An unknown protocol gets the table's default preset.
+    default_preset = PROTOCOLS.get(protocol, Protocol(run=None)).preset
     preset = block.get("preset", default_preset)
     _expect(isinstance(preset, str), "calibration.preset", "expected a string")
     try:
@@ -157,11 +149,13 @@ def resolve_calibration(doc: dict, protocol: str) -> tuple[DeviceCalibration, di
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
+    from .experiments import PROTOCOLS  # the table imports us
+
     name = get_str(doc, "name", "")
     protocol = get_str(doc, "protocol", "")
     _expect(protocol in PROTOCOLS, "protocol",
             f"must be one of {list(PROTOCOLS)}")
-    seed = get_int(doc, "seed", "", default=0)
+    seed = get_int(doc, "seed", "", default=0, minimum=0)
     output_dir = get_str(doc, "output_dir", "", default="runs")
     cal, source = resolve_calibration(doc, protocol)
     params = doc.get(protocol, {})

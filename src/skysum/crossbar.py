@@ -26,8 +26,10 @@ from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     MeasurementTrace,
     MtjConfig,
+    SequencedTrack,
     hall_voltage,
     mtj_activation,
+    run_phases,
 )
 from .rng import stream
 from .transport import (
@@ -37,7 +39,6 @@ from .transport import (
     apply_capacity,
     count_in_zone,
     default_capacity,
-    field_reset,
     zone_within_track,
 )
 
@@ -182,13 +183,6 @@ def expected_sums(config: CrossbarConfig, input_vector: InputVector) -> np.ndarr
     counts = np.array([p.count for p in input_vector.pulses_per_track],
                       dtype=float)
     return counts @ config.weights
-
-
-def expected_sum(config: CrossbarConfig, input_vector: InputVector,
-                 column: int) -> float:
-    """Expected skyrmion total for one column, ignoring stochasticity,
-    capacity and edge losses."""
-    return float(expected_sums(config, input_vector)[column])
 
 
 def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
@@ -341,57 +335,23 @@ def run_fig4_protocol(config: CrossbarConfig, per_track_pulse_specs,
     if len(specs) != 2:
         raise ProtocolError("need one pulse spec per track")
 
-    track_rngs = [stream(seed, "track", i) for i in range(2)]
-    meas_rng = stream(seed, "meas")
-    pops = [SkyrmionPopulation.empty(track_id=i) for i in range(2)]
-    zones = [config.zones[i][0] for i in range(2)]
-    notches = [(zones[i].bounds[0], cal.notch_y) for i in range(2)]
-
-    idx, phases, volts, counts = [], [], [], []
-    i_sample = 0
-
-    def record(phase: str):
-        nonlocal i_sample
-        i_sample += 1
-        n_tot = sum(count_in_zone(pops[t], zones[t]) for t in range(2))
-        v = hall_voltage(n_tot, cal, noise=noise, rng=meas_rng,
-                         sigma_meas=sigma_meas)
-        idx.append(i_sample)
-        phases.append(phase)
-        volts.append(v)
-        counts.append(n_tot)
-
-    def pulse_track(t: int):
-        spec = specs[t]
-        single = PulseTrain(1, spec.current_density, spec.duration)
-        w = config.weights[t, 0]
-        for _ in range(spec.count):
-            created = sample_pulse_count(w, stochastic, track_rngs[t])
-            pops[t] = advance(pops[t], single, cal, nucleated=created,
-                              notch=notches[t])
-            if config.enforce_capacity:
-                pops[t] = apply_capacity(pops[t], zones[t])
-            record("pulsing")
-
-    for _ in range(baseline):
-        record("baseline")
-    pulse_track(0)
-    for _ in range(hold):
-        record("hold")
-    pulse_track(1)
-    for _ in range(hold):
-        record("hold")
-    pops = [field_reset(p) for p in pops]
-    record("reset")
-    for _ in range(post):
-        record("post")
-
-    return MeasurementTrace(
-        index=np.asarray(idx, dtype=np.int64),
-        phase=tuple(phases),
-        delta_v=np.asarray(volts, dtype=float),
-        n_detec=np.asarray(counts, dtype=np.int64),
-    )
+    tracks = [
+        SequencedTrack(
+            population=SkyrmionPopulation.empty(track_id=t),
+            zone=config.zones[t][0],
+            notch=(config.zones[t][0].bounds[0], cal.notch_y),
+            weight=config.weights[t, 0],
+            pulse=PulseTrain(1, specs[t].current_density, specs[t].duration),
+            stochastic=stochastic,
+            rng=stream(seed, "track", t),
+            enforce_capacity=config.enforce_capacity)
+        for t in range(2)
+    ]
+    plan = (("baseline", baseline, None), ("pulsing", specs[0].count, 0),
+            ("hold", hold, None), ("pulsing", specs[1].count, 1),
+            ("hold", hold, None), ("reset", 1, None), ("post", post, None))
+    return run_phases(plan, tracks, cal, meas_rng=stream(seed, "meas"),
+                      noise=noise, sigma_meas=sigma_meas)
 
 
 def monte_carlo_sum_relative_std(m: int, n_pulse: int,

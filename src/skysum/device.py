@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DegenerateCalibration,
     ExtrapolationError,
+    OutOfRange,
     RangeWarning,
     StripeDomainRegime,
 )
@@ -275,6 +276,32 @@ def synaptic_weight(cal: DeviceCalibration, field, duration: float,
     return (weight_from_field(cal, field)
             * weight_scale_duration(cal, duration)
             * weight_scale_current(cal, current_density))
+
+
+def field_for_weight(cal: DeviceCalibration, weight,
+                     duration: float | None = None,
+                     current_density: float | None = None) -> FieldSetting:
+    """Field that programs ``weight`` sk/pulse (scalar or array): the
+    inverse of ``synaptic_weight``.
+
+    The pulse defaults to the reference one, whose duration and current
+    factors are 1.  Weights below zero, above the ceiling at ``field_min``,
+    or out of reach because the pulse factors vanish are refused.
+    """
+    factor = 1.0
+    if duration is not None:
+        factor *= weight_scale_duration(cal, duration)
+    if current_density is not None:
+        factor *= weight_scale_current(cal, current_density)
+    if factor <= 0:
+        raise OutOfRange(
+            "duration/current factors vanish; target weight unreachable")
+    w = weight / factor
+    ceiling = weight_from_field(cal, cal.field_min)
+    if np.any(w < 0) or np.any(w > ceiling):
+        raise OutOfRange(f"weight {w} outside [0, {ceiling}], the range "
+                         f"programmable above {cal.field_min} mT")
+    return FieldSetting(cal.field_max - w / abs(cal.weight_field_slope))
 
 
 def velocity_from_current(cal: DeviceCalibration, j: float) -> float:

@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -34,11 +35,9 @@ from .crossbar import (
 )
 from .device import (
     DeviceCalibration,
-    FieldSetting,
     PulseTrain,
+    field_for_weight,
     synaptic_weight,
-    weight_scale_current,
-    weight_scale_duration,
 )
 from .errors import MissingArtifact, OutOfRange, ValidationError
 from .nucleation import (
@@ -48,7 +47,7 @@ from .nucleation import (
     monte_carlo_sigma,
     sample_pulse_counts,
 )
-from .netmap import field_for_weight, infer, quantize
+from .netmap import infer, quantize
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     ProtocolSpec,
@@ -58,8 +57,6 @@ from .readout import (
 )
 from .rng import stream
 from .transport import DetectionZone
-
-FIGURE_IDS = ("2e", "2g", "2h", "3", "4e", "5b", "5c")
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +114,6 @@ def write_yaml(path: Path, obj):
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-def solve_field_for_weight(cal: DeviceCalibration, target_weight: float,
-                           duration: float, current_density: float) -> FieldSetting:
-    """Field that yields ``target_weight`` at the given pulse shape.
-
-    Divides out the duration and current factors, then inverts the field
-    law; fails when those factors make the target unreachable.
-    """
-    scale = (weight_scale_duration(cal, duration)
-             * weight_scale_current(cal, current_density))
-    if scale <= 0:
-        raise OutOfRange(
-            "duration/current factors vanish; target weight unreachable")
-    return field_for_weight(target_weight / scale, cal)
-
 
 def _zone_from_params(params: dict, path: str, cal: DeviceCalibration) -> DetectionZone:
     block = params.get("zone", {})
@@ -244,7 +226,7 @@ def run_detection_run(cal: DeviceCalibration, params: dict, seed: int,
     zone = _zone_from_params(params, "detection_run", cal)
 
     try:
-        field = solve_field_for_weight(cal, weight, t, j)
+        field = field_for_weight(cal, weight, t, j)
     except OutOfRange as exc:
         raise ValidationError(p + "weight", str(exc))
     device = TrackDevice(
@@ -299,7 +281,7 @@ def run_fig4_twotrack(cal: DeviceCalibration, params: dict, seed: int,
     post = get_int(params, "post", p, default=10, minimum=0)
 
     try:
-        field = solve_field_for_weight(cal, weight, float(durations[0]), j)
+        field = field_for_weight(cal, weight, float(durations[0]), j)
     except OutOfRange as exc:
         raise ValidationError(p + "weight", str(exc))
     weights = [[synaptic_weight(cal, field, float(d), j)] for d in durations]
@@ -335,7 +317,8 @@ def run_fig4_twotrack(cal: DeviceCalibration, params: dict, seed: int,
     }
 
 
-def run_montecarlo_sigma(params: dict, seed: int, outdir: Path) -> dict:
+def run_montecarlo_sigma(cal: DeviceCalibration, params: dict, seed: int,
+                         outdir: Path) -> dict:
     """Monte Carlo fluctuation sweep against the analytic sigma law."""
     p = "montecarlo_sigma."
     p_bars = [float(v) for v in params.get("p_bars",
@@ -367,7 +350,8 @@ def run_montecarlo_sigma(params: dict, seed: int, outdir: Path) -> dict:
     return {"trials": trials, "max_rel_err_nonzero_pbar": max_rel_err}
 
 
-def run_pareto(params: dict, outdir: Path) -> dict:
+def run_pareto(cal: DeviceCalibration, params: dict, seed: int,
+               outdir: Path) -> dict:
     """Energy versus precision tables for each nucleation energy preset."""
     p = "pareto."
     m = get_int(params, "m", p, default=10, minimum=1)
@@ -466,6 +450,23 @@ def run_netsim(cal: DeviceCalibration, params: dict, seed: int,
     }
 
 
+class Protocol(NamedTuple):
+    """A protocol's runner and the calibration preset it defaults to."""
+
+    run: Callable[[DeviceCalibration, dict, int, Path], dict]
+    preset: str = "paper2024"
+
+
+PROTOCOLS = {
+    "nucleation_sweep": Protocol(run_nucleation_sweep),
+    "detection_run": Protocol(run_detection_run),
+    "fig4_twotrack": Protocol(run_fig4_twotrack, "paper2024_fig4"),
+    "montecarlo_sigma": Protocol(run_montecarlo_sigma),
+    "pareto": Protocol(run_pareto),
+    "netsim": Protocol(run_netsim),
+}
+
+
 # ---------------------------------------------------------------------------
 # run orchestration
 
@@ -494,24 +495,8 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         },
     })
 
-    if spec.protocol == "nucleation_sweep":
-        summary = run_nucleation_sweep(spec.calibration, spec.params,
-                                       spec.seed, outdir)
-    elif spec.protocol == "detection_run":
-        summary = run_detection_run(spec.calibration, spec.params, spec.seed,
-                                    outdir)
-    elif spec.protocol == "fig4_twotrack":
-        summary = run_fig4_twotrack(spec.calibration, spec.params, spec.seed,
-                                    outdir)
-    elif spec.protocol == "montecarlo_sigma":
-        summary = run_montecarlo_sigma(spec.params, spec.seed, outdir)
-    elif spec.protocol == "pareto":
-        summary = run_pareto(spec.params, outdir)
-    elif spec.protocol == "netsim":
-        summary = run_netsim(spec.calibration, spec.params, spec.seed, outdir)
-    else:  # unreachable after validation
-        raise ValidationError("protocol", f"unknown protocol {spec.protocol}")
-
+    summary = PROTOCOLS[spec.protocol].run(spec.calibration, spec.params,
+                                           spec.seed, outdir)
     summary = {"name": spec.name, "protocol": spec.protocol,
                "seed": spec.seed, **summary}
     write_json(outdir / "summary.json", summary)
@@ -525,60 +510,63 @@ def _manifest(run_dir: Path) -> dict:
     return json.loads(path.read_text())
 
 
+class Figure(NamedTuple):
+    """Where a figure's data comes from: the run protocol (and, for
+    nucleation sweeps, the swept knob), the source CSV, and the output
+    columns as {output header: source column}."""
+
+    protocol: str
+    sweep: str | None
+    source: str
+    columns: dict
+
+
+_TRACE_COLUMNS = {"index": "index", "phase": "phase",
+                  "delta_v_nV": "delta_v_nV", "n_detec": "n_detec"}
+
+FIGURES = {
+    "2e": Figure("nucleation_sweep", "current", "traces.csv",
+                 {"j_GA_m2": "value", "n_pulses": "pulse_index",
+                  "n_sk": "cumulative"}),
+    "2g": Figure("nucleation_sweep", "field", "traces.csv",
+                 {"h_z_mT": "value", "n_pulses": "pulse_index",
+                  "n_sk": "cumulative"}),
+    "2h": Figure("nucleation_sweep", "field", "slopes_mean.csv",
+                 {"h_z_mT": "value", "slope_sk_per_pulse": "slope_mean"}),
+    "3": Figure("detection_run", None, "trace.csv", _TRACE_COLUMNS),
+    "4e": Figure("fig4_twotrack", None, "trace.csv", _TRACE_COLUMNS),
+    "5b": Figure("montecarlo_sigma", None, "sigma.csv",
+                 {"p_one": "p_one", "n_pulse": "n_pulse",
+                  "sigma": "sigma_mc"}),
+    "5c": Figure("pareto", None, "pareto.csv",
+                 {"precision": "precision", "energy_J": "energy_J",
+                  "preset": "preset"}),
+}
+
+FIGURE_IDS = tuple(FIGURES)
+
+
 def emit_figure_data(run_dir, figure_id: str) -> Path:
     """Write one tidy, plot-ready CSV for the requested figure."""
     run_dir = Path(run_dir)
-    if figure_id not in FIGURE_IDS:
+    if figure_id not in FIGURES:
         raise ValidationError("figure_id",
                               f"unknown figure id {figure_id!r}; "
                               f"known: {list(FIGURE_IDS)}")
-    manifest = _manifest(run_dir)
-    protocol = manifest.get("protocol")
-    out = run_dir / f"figure_{figure_id}.csv"
-
-    def require(expected_protocol: str, sweep: str | None = None) -> None:
-        if protocol != expected_protocol:
+    fig = FIGURES[figure_id]
+    protocol = _manifest(run_dir).get("protocol")
+    if protocol != fig.protocol:
+        raise MissingArtifact(
+            f"figure {figure_id} needs a {fig.protocol} run, found {protocol}")
+    if fig.sweep is not None:
+        rows = read_csv(run_dir / "slopes.csv")
+        if not rows or rows[0]["sweep"] != fig.sweep:
             raise MissingArtifact(
-                f"figure {figure_id} needs a {expected_protocol} run, "
-                f"found {protocol}")
-        if sweep is not None:
-            rows = read_csv(run_dir / "slopes.csv")
-            if not rows or rows[0]["sweep"] != sweep:
-                raise MissingArtifact(
-                    f"figure {figure_id} needs a {sweep} sweep")
-
-    if figure_id in ("2e", "2g"):
-        sweep = "current" if figure_id == "2e" else "field"
-        require("nucleation_sweep", sweep)
-        label = "j_GA_m2" if figure_id == "2e" else "h_z_mT"
-        rows = [(r["value"], r["pulse_index"], r["cumulative"])
-                for r in read_csv(run_dir / "traces.csv")]
-        write_csv(out, (label, "n_pulses", "n_sk"), rows)
-    elif figure_id == "2h":
-        require("nucleation_sweep", "field")
-        rows = [(r["value"], r["slope_mean"])
-                for r in read_csv(run_dir / "slopes_mean.csv")]
-        write_csv(out, ("h_z_mT", "slope_sk_per_pulse"), rows)
-    elif figure_id == "3":
-        require("detection_run")
-        rows = [(r["index"], r["phase"], r["delta_v_nV"], r["n_detec"])
-                for r in read_csv(run_dir / "trace.csv")]
-        write_csv(out, ("index", "phase", "delta_v_nV", "n_detec"), rows)
-    elif figure_id == "4e":
-        require("fig4_twotrack")
-        rows = [(r["index"], r["phase"], r["delta_v_nV"], r["n_detec"])
-                for r in read_csv(run_dir / "trace.csv")]
-        write_csv(out, ("index", "phase", "delta_v_nV", "n_detec"), rows)
-    elif figure_id == "5b":
-        require("montecarlo_sigma")
-        rows = [(r["p_one"], r["n_pulse"], r["sigma_mc"])
-                for r in read_csv(run_dir / "sigma.csv")]
-        write_csv(out, ("p_one", "n_pulse", "sigma"), rows)
-    elif figure_id == "5c":
-        require("pareto")
-        rows = [(r["precision"], r["energy_J"], r["preset"])
-                for r in read_csv(run_dir / "pareto.csv")]
-        write_csv(out, ("precision", "energy_J", "preset"), rows)
+                f"figure {figure_id} needs a {fig.sweep} sweep")
+    out = run_dir / f"figure_{figure_id}.csv"
+    rows = [tuple(r[c] for c in fig.columns.values())
+            for r in read_csv(run_dir / fig.source)]
+    write_csv(out, tuple(fig.columns), rows)
     return out
 
 

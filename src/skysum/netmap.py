@@ -14,11 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import IDEAL, InputVector, build_crossbar, monte_carlo_column_counts
+from .crossbar import (
+    IDEAL,
+    LINEAR_AHE,
+    MTJ,
+    InputVector,
+    build_crossbar,
+    monte_carlo_column_counts,
+)
 from .device import (
     DeviceCalibration,
-    FieldSetting,
     PulseTrain,
+    field_for_weight,
     paper2024,
     weight_from_field,
 )
@@ -27,24 +34,6 @@ from .nucleation import StochasticModel
 from .readout import MtjConfig, mtj_activation
 
 IDENTITY = "identity"
-LINEAR_AHE = "linear_ahe"
-MTJ = "mtj"
-
-
-def field_for_weight(w_target: float, cal: DeviceCalibration) -> FieldSetting:
-    """Field (mT) that programs a device weight of ``w_target`` sk/pulse.
-
-    Inverts the linear field law; refuses targets above the weight ceiling
-    at the minimum operating field.
-    """
-    if w_target < 0:
-        raise OutOfRange("weight targets must be >= 0")
-    ceiling = weight_from_field(cal, cal.field_min)
-    if w_target > ceiling:
-        raise OutOfRange(
-            f"weight {w_target} exceeds the ceiling {ceiling} at "
-            f"{cal.field_min} mT")
-    return FieldSetting(cal.field_max - w_target / abs(cal.weight_field_slope))
 
 
 @dataclass(frozen=True)
@@ -71,15 +60,6 @@ class QuantizedLayer:
     @property
     def shape(self) -> tuple[int, int]:
         return self.weight_matrix.shape
-
-    def field_assignments(self):
-        """(positive, negative) FieldSetting pair per matrix entry."""
-        m, l = self.shape
-        return [
-            [(FieldSetting(self.field_pos[i, j]),
-              FieldSetting(self.field_neg[i, j])) for j in range(l)]
-            for i in range(m)
-        ]
 
     def programming_schedule(self) -> list[dict]:
         """JSON-ready site list: field and polarity column per entry."""
@@ -108,7 +88,8 @@ def quantize(weights, states: int = 15,
     {k * w_max / (states - 1)}, so the absolute quantisation error is at
     most half a level spacing.  ``scale`` fixes the network-to-device
     conversion; by default the largest magnitude maps to the weight ceiling
-    of the calibration.
+    of the calibration.  A matrix whose level spacing would be subnormal
+    quantises to zero.
     """
     if states < 2:
         raise ValueError("states must be >= 2")
@@ -118,12 +99,14 @@ def quantize(weights, states: int = 15,
     w_max = float(np.max(np.abs(w))) if w.size else 0.0
     ceiling = weight_from_field(cal, cal.field_min)
 
-    if w_max == 0.0:
+    spacing = w_max / (states - 1)
+    if min(spacing, w_max / ceiling) < np.finfo(float).tiny:
+        # All zero, or so small that the level spacing or the default scale
+        # would leave the normal floats: flush to zero.
         q_pos = np.zeros_like(w)
         q_neg = np.zeros_like(w)
         scale = 1.0 if scale is None else scale
     else:
-        spacing = w_max / (states - 1)
         q_pos = np.round(np.maximum(w, 0.0) / spacing) * spacing
         q_neg = np.round(np.maximum(-w, 0.0) / spacing) * spacing
         if scale is None:
@@ -139,9 +122,6 @@ def quantize(weights, states: int = 15,
     w_pos_dev = np.minimum(w_pos_dev, ceiling)
     w_neg_dev = np.minimum(w_neg_dev, ceiling)
 
-    slope = abs(cal.weight_field_slope)
-    field_pos = cal.field_max - w_pos_dev / slope
-    field_neg = cal.field_max - w_neg_dev / slope
     return QuantizedLayer(
         weight_matrix=w,
         quantized=q_pos - q_neg,
@@ -149,8 +129,8 @@ def quantize(weights, states: int = 15,
         w_neg=w_neg_dev,
         states=states,
         scale=float(scale),
-        field_pos=field_pos,
-        field_neg=field_neg,
+        field_pos=field_for_weight(cal, w_pos_dev).h_z,
+        field_neg=field_for_weight(cal, w_neg_dev).h_z,
     )
 
 

@@ -29,37 +29,19 @@ MC_BLOCK = 8192
 class StochasticModel:
     """Per-pulse count fluctuation model.
 
-    p_bar       probability that a pulse's count deviates from its nominal
-                value
-    split_even  deviations split equally between -1 and +1 (the only split
-                modeled; kept explicit because the even split is what makes
-                the sqrt(p_bar/N) law exact)
+    p_bar  probability that a pulse's count deviates from its nominal value
     """
 
     p_bar: float
-    split_even: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.p_bar <= 1.0:
             raise ValueError("p_bar must lie in [0, 1]")
 
     def deviation_probabilities(self) -> tuple[float, float]:
-        """(p(-1), p(+1)) for one pulse."""
-        if not self.split_even:
-            raise NotImplementedError("only the even deviation split is modeled")
+        """(p(-1), p(+1)) for one pulse; the even split is what makes the
+        sqrt(p_bar/N) law exact."""
         return self.p_bar / 2.0, self.p_bar / 2.0
-
-
-@dataclass(frozen=True)
-class NucleationEvent:
-    """Outcome of one pulse: ``count`` skyrmions created."""
-
-    pulse_index: int
-    count: int
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
 
 
 def sample_pulse_counts(w: float, model: StochasticModel,
@@ -145,21 +127,16 @@ def monte_carlo_sigma(model: StochasticModel, n_pulse: int, trials: int,
     return float(means.std(ddof=1))
 
 
-def _counts(events: Iterable) -> np.ndarray:
-    vals = [e.count if isinstance(e, NucleationEvent) else int(e)
-            for e in events]
-    return np.asarray(vals, dtype=np.int64)
-
-
 def estimate_pbar_from_trace(events: Iterable, w_nominal: float = 1.0) -> float:
-    """Fraction of pulses whose count deviated from the nominal value.
+    """Fraction of pulses whose count (``events``: per-pulse skyrmion
+    counts) deviated from the nominal value.
 
     Unbiased for p_bar in the unit-weight regime, which is the only regime
     the estimator is defined for.
     """
     if w_nominal != 1.0:
         raise ValueError("estimator is defined for w_nominal = 1 only")
-    counts = _counts(events)
+    counts = np.asarray([int(e) for e in events], dtype=np.int64)
     if counts.size < 10:
         raise InsufficientData(
             f"need at least 10 events, got {counts.size}")

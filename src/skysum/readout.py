@@ -180,6 +180,78 @@ class TrackDevice:
                                self.pulse.current_density)
 
 
+@dataclass
+class SequencedTrack:
+    """One track as the phase sequencer drives it.
+
+    ``population`` is replaced as the run advances; ``pulse`` is the single
+    forward pulse applied per pulsing sample and ``rng`` supplies the
+    nucleation draws (None: integer weights nucleate deterministically).
+    """
+
+    population: SkyrmionPopulation
+    zone: DetectionZone
+    notch: tuple[float, float]
+    weight: float
+    pulse: PulseTrain
+    stochastic: StochasticModel
+    rng: np.random.Generator | None
+    enforce_capacity: bool = True
+
+
+def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
+               meas_rng: np.random.Generator | None = None,
+               noise: bool = False,
+               sigma_meas: float = DEFAULT_SIGMA_MEAS_NV,
+               drift_rate: float = 0.0) -> MeasurementTrace:
+    """Run a plan of (phase, samples, track) steps and record the summed
+    Hall trace of all tracks.
+
+    A 'pulsing' step pulses ``tracks[track]`` once (nucleation, transport,
+    crowding) before each of its samples; a 'reset' step erases every track
+    before its samples; other steps only sample.  Measurement noise is
+    drawn from ``meas_rng``.  ``drift_rate`` injects a linear instrumental
+    drift (nV per sample index) so the drift correction can be exercised.
+    """
+    idx, phases, volts, counts = [], [], [], []
+    i = 0
+    # In-zone counts change only when a track is pulsed or reset.
+    in_zone = [count_in_zone(track.population, track.zone) for track in tracks]
+    for phase, samples, t in plan:
+        if phase == "reset":
+            for track in tracks:
+                track.population = field_reset(track.population)
+            in_zone = [0] * len(tracks)
+        pulsed = tracks[t] if phase == "pulsing" else None
+        for _ in range(samples):
+            if pulsed is not None:
+                created = (sample_pulse_count(pulsed.weight, pulsed.stochastic,
+                                              pulsed.rng)
+                           if pulsed.rng is not None
+                           else _deterministic_count(pulsed.weight))
+                pop = advance(pulsed.population, pulsed.pulse, cal,
+                              nucleated=created, notch=pulsed.notch)
+                if pulsed.enforce_capacity:
+                    pop = apply_capacity(pop, pulsed.zone)
+                pulsed.population = pop
+                in_zone[t] = count_in_zone(pop, pulsed.zone)
+            i += 1
+            n = sum(in_zone)
+            v = hall_voltage(n, cal, noise=noise, rng=meas_rng,
+                             sigma_meas=sigma_meas)
+            idx.append(i)
+            phases.append(phase)
+            volts.append(v + drift_rate * i)
+            counts.append(n)
+
+    return MeasurementTrace(
+        index=np.asarray(idx, dtype=np.int64),
+        phase=tuple(phases),
+        delta_v=np.asarray(volts, dtype=float),
+        n_detec=np.asarray(counts, dtype=np.int64),
+    )
+
+
 def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
                      rng: np.random.Generator | None = None,
                      noise: bool = False,
@@ -188,57 +260,24 @@ def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
     """Run a phase plan on one track and record the trace.
 
     The pulsing phase interleaves one pulse (nucleation plus transport) with
-    one voltage sample; the reset phase erases all skyrmions first.
-    ``drift_rate`` injects a linear instrumental drift (nV per index) so the
-    drift correction can be exercised.
+    one voltage sample; the reset phase erases all skyrmions first.  ``rng``
+    supplies both the nucleation draws and the measurement noise.
     """
     if noise and rng is None:
         raise ProtocolError("noisy protocol needs an rng")
     if rng is None and device.stochastic.p_bar > 0:
         raise ProtocolError("stochastic nucleation requires an rng")
-    single_pulse = PulseTrain(1, device.pulse.current_density,
-                              device.pulse.duration)
-    w = device.weight
-    pop = device.population
-    idx, phases, volts, counts = [], [], [], []
-    i = 0
-
-    def record(phase: str):
-        nonlocal i
-        i += 1
-        n = count_in_zone(pop, device.zone)
-        v = hall_voltage(n, device.cal, noise=noise, rng=rng,
-                         sigma_meas=sigma_meas)
-        idx.append(i)
-        phases.append(phase)
-        volts.append(v + drift_rate * i)
-        counts.append(n)
-
-    for name, count in protocol.phases:
-        if name == "pulsing":
-            for _ in range(count):
-                created = sample_pulse_count(w, device.stochastic, rng) \
-                    if rng is not None else _deterministic_count(w)
-                pop = advance(pop, single_pulse, device.cal,
-                              nucleated=created, notch=device.notch)
-                if device.enforce_capacity:
-                    pop = apply_capacity(pop, device.zone)
-                record(name)
-        elif name == "reset":
-            pop = field_reset(pop)
-            for _ in range(count):
-                record(name)
-        else:
-            for _ in range(count):
-                record(name)
-
-    device.population = pop
-    return MeasurementTrace(
-        index=np.asarray(idx, dtype=np.int64),
-        phase=tuple(phases),
-        delta_v=np.asarray(volts, dtype=float),
-        n_detec=np.asarray(counts, dtype=np.int64),
-    )
+    track = SequencedTrack(
+        population=device.population, zone=device.zone, notch=device.notch,
+        weight=device.weight,
+        pulse=PulseTrain(1, device.pulse.current_density, device.pulse.duration),
+        stochastic=device.stochastic, rng=rng,
+        enforce_capacity=device.enforce_capacity)
+    trace = run_phases([(name, count, 0) for name, count in protocol.phases],
+                       [track], device.cal, meas_rng=rng, noise=noise,
+                       sigma_meas=sigma_meas, drift_rate=drift_rate)
+    device.population = track.population
+    return trace
 
 
 def _deterministic_count(w: float) -> int:

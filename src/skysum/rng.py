@@ -15,9 +15,15 @@ import numpy as np
 
 
 def _path_key(item) -> int:
-    """Map a path element to a stable unsigned integer."""
+    """Map a path element to a stable unsigned 32-bit integer.
+
+    Integers outside [0, 2**32) are refused rather than wrapped, so no two
+    integer paths share a stream.
+    """
     if isinstance(item, (int, np.integer)):
-        return int(item) & 0xFFFFFFFF
+        if not 0 <= item < 2**32:
+            raise ValueError(f"integer path element {item} outside [0, 2**32)")
+        return int(item)
     digest = hashlib.sha256(str(item).encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
@@ -25,8 +31,8 @@ def _path_key(item) -> int:
 def stream(seed: int, *path) -> np.random.Generator:
     """Return a Philox generator derived from ``seed`` and a derivation path.
 
-    Path elements may be integers or strings (strings are hashed).  Streams
-    with different paths are statistically independent.
+    Path elements may be integers in [0, 2**32) or strings (strings are
+    hashed).  Streams with different paths are statistically independent.
     """
     spawn_key = tuple(_path_key(p) for p in path)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)

@@ -24,6 +24,7 @@ from skysum import (
     check_current_uniformity,
     estimate_diameter,
     expected_cumulative,
+    field_for_weight,
     fit_weight,
     full_reversal_voltage,
     measure_protocol,
@@ -43,7 +44,7 @@ from skysum import (
 from skysum.analysis import ENERGY_PRESETS, EnergyModel
 from skysum.config import spec_from_dict
 from skysum.device import DeviceCalibration
-from skysum.experiments import run_experiment, solve_field_for_weight
+from skysum.experiments import run_experiment
 
 
 def report(number: int, description: str, passed: bool):
@@ -140,7 +141,7 @@ def test_criterion_04_sqrt_m_law():
 
 def _detection_device(cal, p_bar=0.0):
     zone = DetectionZone(center_x=8.0, center_y=3.0, side=6.0, capacity=81)
-    field = solve_field_for_weight(cal, 1.0, 50.0, 150.0)
+    field = field_for_weight(cal, 1.0, 50.0, 150.0)
     return TrackDevice(cal=cal, zone=zone, field=field,
                        pulse=PulseTrain(1, 150.0, 50.0),
                        stochastic=StochasticModel(p_bar))
@@ -178,7 +179,7 @@ def test_criterion_06_fig4_additivity():
     # per-skyrmion dispersion is zeroed so sigma_meas is the sole noise.
     from dataclasses import replace
     cal = replace(paper2024_fig4(), per_skyrmion_voltage_std=0.0)
-    field = solve_field_for_weight(cal, 1.0, 50.0, 116.0)
+    field = field_for_weight(cal, 1.0, 50.0, 116.0)
     w_equal = [[synaptic_weight(cal, field, 50.0, 116.0)] for _ in range(2)]
     config = build_crossbar(cal, w_equal)
     specs = [PulseTrain(30, 116.0, 50.0), PulseTrain(30, 116.0, 50.0)]

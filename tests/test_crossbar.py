@@ -12,7 +12,6 @@ from skysum import (
     build_crossbar,
     check_current_uniformity,
     current_uniformity,
-    expected_sum,
     expected_sums,
     monte_carlo_sum_relative_std,
     run_fig4_protocol,
@@ -65,21 +64,21 @@ class TestConfig:
 class TestExpectedSum:
     def test_zero_inputs(self, cal4):
         cfg = two_track(cal4)
-        assert expected_sum(cfg, inputs(0, 0), 0) == 0.0
+        assert expected_sums(cfg, inputs(0, 0))[0] == 0.0
 
     def test_equal_weights(self, cal4):
         cfg = two_track(cal4, w=(1.0, 1.0))
-        assert expected_sum(cfg, inputs(20, 20), 0) == 40.0
+        assert expected_sums(cfg, inputs(20, 20))[0] == 40.0
 
     def test_suppressed_track(self, cal4):
         cfg = two_track(cal4, w=(1.0, 0.0))
-        assert expected_sum(cfg, inputs(30, 30), 0) == 30.0
+        assert expected_sums(cfg, inputs(30, 30))[0] == 30.0
 
     def test_bilinear(self, cal4):
         cfg1 = two_track(cal4, w=(0.7, 1.3))
         cfg2 = two_track(cal4, w=(1.4, 2.6))
-        assert expected_sum(cfg2, inputs(5, 9), 0) == pytest.approx(
-            2.0 * expected_sum(cfg1, inputs(5, 9), 0), rel=1e-12)
+        assert expected_sums(cfg2, inputs(5, 9))[0] == pytest.approx(
+            2.0 * expected_sums(cfg1, inputs(5, 9))[0], rel=1e-12)
 
     def test_dimension_mismatch(self, cal4):
         cfg = two_track(cal4)

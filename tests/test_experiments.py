@@ -4,12 +4,14 @@ import sys
 
 import pytest
 
-from skysum import MissingArtifact, ValidationError, paper2024
+from skysum import MissingArtifact, ValidationError, cli, paper2024
 from skysum.config import spec_from_dict, spec_from_file
 from skysum.experiments import (
+    FIGURE_IDS,
     calibrate_weight_law,
     emit_figure_data,
     expand_sweep,
+    read_csv,
     run_experiment,
     write_csv,
 )
@@ -62,6 +64,19 @@ class TestSpecValidation:
     def test_seed_override(self, tmp_path):
         spec = make_spec(tmp_path, "x", "pareto").with_overrides(seed=99)
         assert spec.seed == 99
+
+    def test_negative_seed_rejected_before_run(self, tmp_path):
+        # Both routes exit 2 and leave no run directory behind.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"name: bad\nprotocol: pareto\nseed: -1\n"
+                       f"output_dir: {tmp_path}\n")
+        assert cli.main(["run", str(bad)]) == 2
+        assert not (tmp_path / "bad").exists()
+        det = tmp_path / "det.yaml"
+        det.write_text(f"name: det\nprotocol: detection_run\n"
+                       f"output_dir: {tmp_path}\n")
+        assert cli.main(["run", str(det), "--seed", "-5"]) == 2
+        assert not (tmp_path / "det").exists()
 
 
 class TestRunDirectories:
@@ -182,6 +197,35 @@ class TestEmitFigureData:
                                   "values": [150.0, 160.0, 171.0]})
         out = emit_figure_data(run_experiment(spec2), "2e")
         assert out.read_text().splitlines()[0] == "j_GA_m2,n_pulses,n_sk"
+
+    # figure id -> (protocol, small run params, header, source CSV)
+    FIGURE_CASES = {
+        "2e": ("nucleation_sweep",
+               {"sweep": "current", "values": [150.0, 171.0], "repeats": 2,
+                "pulses": 3}, "j_GA_m2,n_pulses,n_sk", "traces.csv"),
+        "2g": ("nucleation_sweep", {"repeats": 2, "pulses": 3},
+               "h_z_mT,n_pulses,n_sk", "traces.csv"),
+        "2h": ("nucleation_sweep", {"repeats": 2, "pulses": 3},
+               "h_z_mT,slope_sk_per_pulse", "slopes_mean.csv"),
+        "3": ("detection_run", {"pulses": 5},
+              "index,phase,delta_v_nV,n_detec", "trace.csv"),
+        "4e": ("fig4_twotrack", {"pulses": 5},
+               "index,phase,delta_v_nV,n_detec", "trace.csv"),
+        "5b": ("montecarlo_sigma",
+               {"trials": 1000, "p_bars": [0.4], "n_pulses": [5, 10]},
+               "p_one,n_pulse,sigma", "sigma.csv"),
+        "5c": ("pareto", {"n_pulse_max": 5},
+               "precision,energy_J,preset", "pareto.csv"),
+    }
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_every_figure(self, tmp_path, figure_id):
+        protocol, params, header, source = self.FIGURE_CASES[figure_id]
+        run_dir = run_experiment(make_spec(tmp_path, "r", protocol,
+                                           params=params))
+        lines = emit_figure_data(run_dir, figure_id).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) - 1 == len(read_csv(run_dir / source))
 
     def test_unknown_figure(self, tmp_path):
         run_dir = run_experiment(make_spec(tmp_path, "p", "pareto"))

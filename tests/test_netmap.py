@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from skysum import (
@@ -19,20 +19,20 @@ from skysum import (
 
 class TestFieldForWeight:
     def test_anchors(self, cal):
-        assert field_for_weight(0.0, cal).h_z == 26.0
-        assert field_for_weight(1.14, cal).h_z == pytest.approx(24.0, rel=1e-12)
-        assert field_for_weight(3.42, cal).h_z == pytest.approx(20.0, rel=1e-12)
+        assert field_for_weight(cal, 0.0).h_z == 26.0
+        assert field_for_weight(cal, 1.14).h_z == pytest.approx(24.0, rel=1e-12)
+        assert field_for_weight(cal, 3.42).h_z == pytest.approx(20.0, rel=1e-12)
 
     def test_out_of_range(self, cal):
         with pytest.raises(OutOfRange):
-            field_for_weight(3.43, cal)
+            field_for_weight(cal, 3.43)
         with pytest.raises(OutOfRange):
-            field_for_weight(-0.1, cal)
+            field_for_weight(cal, -0.1)
 
     @given(st.floats(min_value=0.0, max_value=3.42))
     def test_round_trip(self, w):
         cal = paper2024()
-        field = field_for_weight(w, cal)
+        field = field_for_weight(cal, w)
         assert weight_from_field(cal, field) == pytest.approx(w, abs=1e-12)
 
 
@@ -70,6 +70,7 @@ class TestQuantize:
     @settings(max_examples=200)
     @given(hnp.arrays(np.float64, (3, 4),
                       elements=st.floats(-10.0, 10.0, allow_nan=False)))
+    @example(np.full((3, 4), 5e-324))
     def test_error_bound_property(self, w):
         layer = quantize(w, states=15)
         w_max = np.max(np.abs(w))

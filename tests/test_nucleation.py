@@ -5,7 +5,6 @@ import pytest
 
 from skysum import (
     InsufficientData,
-    NucleationEvent,
     SingularFit,
     StochasticModel,
     analytic_sigma,
@@ -31,10 +30,6 @@ class TestStochasticModel:
 
     def test_even_split(self):
         assert StochasticModel(0.4).deviation_probabilities() == (0.2, 0.2)
-
-    def test_uneven_split_not_modeled(self):
-        with pytest.raises(NotImplementedError):
-            StochasticModel(0.4, split_even=False).deviation_probabilities()
 
 
 class TestSamplePulseCount:
@@ -127,8 +122,7 @@ class TestPbarEstimator:
         assert estimate_pbar_from_trace(counts) == pytest.approx(0.4)
 
     def test_accepts_events(self):
-        events = [NucleationEvent(i, c) for i, c in
-                  enumerate([0, 1, 2, 1, 1, 1, 2, 0, 1, 1])]
+        events = iter(np.array([0, 1, 2, 1, 1, 1, 2, 0, 1, 1]))
         assert estimate_pbar_from_trace(events) == pytest.approx(0.4)
 
     def test_round_trip(self):

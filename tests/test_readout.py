@@ -17,6 +17,7 @@ from skysum import (
     TrackDevice,
     drift_correct,
     estimate_diameter,
+    field_for_weight,
     full_reversal_voltage,
     hall_voltage,
     measure_protocol,
@@ -25,12 +26,11 @@ from skysum import (
     mtj_voltage_from_coverage,
     stream,
 )
-from skysum.experiments import solve_field_for_weight
 
 
 def unit_weight_device(cal, zone, p_bar=0.0):
     # w = 1 at J = 150 GA/m^2 (slow transport keeps everything in the box).
-    field = solve_field_for_weight(cal, 1.0, 50.0, 150.0)
+    field = field_for_weight(cal, 1.0, 50.0, 150.0)
     return TrackDevice(cal=cal, zone=zone, field=field,
                        pulse=PulseTrain(1, 150.0, 50.0),
                        stochastic=StochasticModel(p_bar))
