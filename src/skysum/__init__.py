@@ -68,8 +68,10 @@ from .nucleation import (
     expected_cumulative,
     fit_weight,
     monte_carlo_sigma,
+    pulse_distribution,
     sample_pulse_count,
     sample_pulse_counts,
+    sample_pulse_sums,
     simulate_cumulative,
 )
 from .netmap import QuantizedLayer, infer, quantize

@@ -21,7 +21,13 @@ from .device import (
     PulseTrain,
 )
 from .errors import ProtocolError
-from .nucleation import MC_BLOCK, StochasticModel, sample_pulse_count, sample_pulse_counts
+from .nucleation import (
+    MC_BLOCK,
+    StochasticModel,
+    sample_pulse_count,
+    sample_pulse_counts,
+    sample_pulse_sums,
+)
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     MeasurementTrace,
@@ -280,18 +286,21 @@ def monte_carlo_column_counts(config: CrossbarConfig, input_vector: InputVector,
                               seed: int) -> np.ndarray:
     """(trials, L) matrix of summed column counts under ideal transport.
 
-    Vectorised across trials for Monte Carlo convergence checks; capacity
-    is applied per crossing when the config enforces it.
+    Each crossing's per-trial total is drawn exactly by
+    ``sample_pulse_sums`` from its own stream; capacity is applied per
+    crossing when the config enforces it.  A crossing with zero weight or
+    zero pulses contributes nothing and draws no stream.
     """
     m, l = config.m_tracks, config.l_columns
     totals = np.zeros((trials, l), dtype=np.int64)
     for i in range(m):
         n_pulses = input_vector.pulses_per_track[i].count
         for j in range(l):
+            w = config.weights[i, j]
+            if w == 0 or n_pulses == 0:
+                continue
             g = stream(seed, "mc", i, j)
-            counts = sample_pulse_counts(
-                config.weights[i, j], stochastic, g, (trials, n_pulses),
-                dtype=np.float32).sum(axis=1)
+            counts = sample_pulse_sums(w, stochastic, g, n_pulses, trials)
             if config.enforce_capacity:
                 np.minimum(counts, config.zones[i][j].capacity, out=counts)
             totals[:, j] += counts
@@ -373,9 +382,8 @@ def monte_carlo_sum_relative_std(m: int, n_pulse: int,
         while done < trials:
             nb = min(MC_BLOCK, trials - done)
             g = stream(seed, "sum-sigma", *path, i, block)
-            counts = sample_pulse_counts(w, model, g, (nb, n_pulse),
-                                         dtype=np.float32)
-            totals[done:done + nb] += counts.sum(axis=1)
+            totals[done:done + nb] += sample_pulse_sums(w, model, g, n_pulse,
+                                                        nb)
             done += nb
             block += 1
     norm = totals / (m * n_pulse * w)

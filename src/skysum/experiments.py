@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -471,10 +474,37 @@ PROTOCOLS = {
 # run orchestration
 
 def run_experiment(spec: ExperimentSpec) -> Path:
-    """Execute one experiment spec into a self-describing run directory."""
-    outdir = Path(spec.output_dir) / spec.name
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment spec into a self-describing run directory.
 
+    The run is built in a temporary sibling directory and renamed into
+    place only when it has finished, so a failed run leaves an existing
+    directory untouched and a successful one replaces it whole: no run
+    directory is ever half-written or holds another run's files.
+    """
+    outdir = Path(spec.output_dir) / spec.name
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
+    try:
+        # mkdtemp makes the directory owner-only; give it the permissions
+        # of an ordinary new directory.
+        umask = os.umask(0)
+        os.umask(umask)
+        tmp.chmod(0o777 & ~umask)
+        _write_run(spec, tmp)
+        if outdir.exists():
+            old = tmp.with_name(tmp.name + ".old")
+            os.rename(outdir, old)
+            os.rename(tmp, outdir)
+            shutil.rmtree(old)
+        else:
+            os.rename(tmp, outdir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    return outdir
+
+
+def _write_run(spec: ExperimentSpec, outdir: Path) -> None:
     write_yaml(outdir / "config_snapshot.yaml", {
         "name": spec.name,
         "protocol": spec.protocol,
@@ -500,7 +530,6 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     summary = {"name": spec.name, "protocol": spec.protocol,
                "seed": spec.seed, **summary}
     write_json(outdir / "summary.json", summary)
-    return outdir
 
 
 def _manifest(run_dir: Path) -> dict:

@@ -159,9 +159,9 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
 
     Expected mode evaluates f(sum w+ x) - f(sum w- x) per differential
     pair; with the identity readout this is exactly the quantised
-    matrix-vector product.  Stochastic mode samples nucleation per pulse
-    through the crossbar (ideal transport) and returns one row per trial
-    (shape (trials, L); a single trial returns shape (L,)).
+    matrix-vector product.  Stochastic mode samples each crossing's
+    pulse total through the crossbar (ideal transport) and returns one row
+    per trial (shape (trials, L); a single trial returns shape (L,)).
     """
     x = np.asarray(input_vector, dtype=np.int64)
     m, l = layer.shape

@@ -6,6 +6,11 @@ count by +/-1 with total probability ``p_bar`` (split evenly), and the
 result clamps at zero.  At the unit operating point this reproduces the
 observed outcome set {0, 1, 2} and the relative deviation of the
 accumulated count follows ``sigma = sqrt(p_bar / n_pulse)``.
+
+A pulse's count therefore takes at most four values, so the total over N
+independent pulses is exactly multinomial over them: ``pulse_distribution``
+gives the law, ``sample_pulse_counts`` draws individual pulses and
+``sample_pulse_sums`` draws the totals in work independent of N.
 """
 
 from __future__ import annotations
@@ -44,16 +49,52 @@ class StochasticModel:
         return self.p_bar / 2.0, self.p_bar / 2.0
 
 
+def pulse_distribution(w: float, model: StochasticModel
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of one pulse's count as (values, probabilities).
+
+    The outcomes are ``max(floor(w) - 1 + k, 0)`` for k = 0..3: nominal
+    count ``floor(w)`` or ``floor(w) + 1`` (probability ``frac(w)``), then
+    a -1/0/+1 deviation, clamped at zero per pulse.  Values may repeat
+    where the clamp folds -1 onto 0.  At zero weight the single outcome is
+    0 (see ``sample_pulse_counts``).
+    """
+    if w < 0:
+        raise ValueError("weight must be >= 0")
+    if w == 0:
+        return np.zeros(1, dtype=np.int64), np.ones(1)
+    base = math.floor(w)
+    frac = w - base
+    p_minus, p_plus = model.deviation_probabilities()
+    p_stay = 1.0 - p_minus - p_plus
+    probs = np.array([(1.0 - frac) * p_minus,
+                      (1.0 - frac) * p_stay + frac * p_minus,
+                      (1.0 - frac) * p_plus + frac * p_stay,
+                      frac * p_plus])
+    values = np.maximum(np.arange(base - 1, base + 3, dtype=np.int64), 0)
+    return values, probs
+
+
+def sample_pulse_sums(w: float, model: StochasticModel,
+                      rng: np.random.Generator, n_pulses: int,
+                      size) -> np.ndarray:
+    """Total count of ``n_pulses`` independent pulses, ``size`` times.
+
+    Draws the number of pulses landing on each outcome of
+    ``pulse_distribution`` from one multinomial, so the work per total
+    does not grow with ``n_pulses`` and no per-pulse array is built.
+    """
+    values, probs = pulse_distribution(w, model)
+    return rng.multinomial(n_pulses, probs, size=size) @ values
+
+
 def sample_pulse_counts(w: float, model: StochasticModel,
-                        rng: np.random.Generator, shape,
-                        dtype=np.float64) -> np.ndarray:
+                        rng: np.random.Generator, shape) -> np.ndarray:
     """Vectorised per-pulse counts of the given shape.
 
     At exactly zero weight a pulse nucleates nothing: the device is at its
     cutoff field and there is no attempt for the thermal fluctuation to
-    act on.  ``dtype`` selects the uniform-draw precision; float32 halves
-    the memory traffic for large Monte Carlo sweeps without visible bias
-    at the tolerances used here.
+    act on.
     """
     if w < 0:
         raise ValueError("weight must be >= 0")
@@ -63,10 +104,10 @@ def sample_pulse_counts(w: float, model: StochasticModel,
     frac = w - base
     counts = np.full(shape, base, dtype=np.int64)
     if frac > 0:
-        counts += rng.random(shape, dtype=dtype) < frac
+        counts += rng.random(shape) < frac
     p_minus, p_plus = model.deviation_probabilities()
     if p_minus + p_plus > 0:
-        u = rng.random(shape, dtype=dtype)
+        u = rng.random(shape)
         counts += (u >= 1.0 - p_plus).astype(np.int64)
         counts -= u < p_minus
     np.maximum(counts, 0, out=counts)
@@ -104,10 +145,11 @@ def monte_carlo_sigma(model: StochasticModel, n_pulse: int, trials: int,
                       seed: int, w: float = 1.0, path: tuple = ()) -> float:
     """Empirical std of (sum of counts)/n_pulse over independent trials.
 
-    Trials are drawn from Philox streams derived per block of MC_BLOCK
-    trials, so reruns with the same seed are bit-identical and blocks can be
-    distributed across workers.  ``path`` decorrelates repeated calls that
-    share a seed (e.g. points of a parameter sweep).
+    Each trial's sum is drawn exactly by ``sample_pulse_sums``.  Trials
+    come from Philox streams derived per block of MC_BLOCK trials, so
+    memory stays bounded, reruns with the same seed are bit-identical and
+    blocks can be distributed across workers.  ``path`` decorrelates
+    repeated calls that share a seed (e.g. points of a parameter sweep).
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000 for a stable estimate")
@@ -119,9 +161,8 @@ def monte_carlo_sigma(model: StochasticModel, n_pulse: int, trials: int,
     while done < trials:
         nb = min(MC_BLOCK, trials - done)
         g = stream(seed, "mc-sigma", *path, block_index)
-        counts = sample_pulse_counts(w, model, g, (nb, n_pulse),
-                                     dtype=np.float32)
-        means[done:done + nb] = counts.sum(axis=1) / n_pulse
+        means[done:done + nb] = sample_pulse_sums(w, model, g, n_pulse,
+                                                  nb) / n_pulse
         done += nb
         block_index += 1
     return float(means.std(ddof=1))

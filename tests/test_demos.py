@@ -1,7 +1,4 @@
-"""Smoke test: every demo script runs to completion.
-
-Demo 02 is left out for its run time (a few seconds of Monte Carlo).
-"""
+"""Smoke test: every demo script runs to completion."""
 
 import os
 import subprocess
@@ -11,8 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p for p in (ROOT / "demos").glob("*.py")
-               if not p.name.startswith("02_"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -109,6 +109,31 @@ class TestRunDirectories:
         b = (tmp_path / "b" / "mc" / "sigma.csv").read_bytes()
         assert a == b
 
+    def test_failed_run_writes_nothing(self, tmp_path):
+        # A parameter that fails validation exits 2, leaves no directory
+        # (not even a temporary one), and leaves an earlier run's
+        # directory of the same name byte-unchanged.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"name: x\nprotocol: nucleation_sweep\n"
+                       f"output_dir: {tmp_path}\n"
+                       f"nucleation_sweep: {{pulses: 0}}\n")
+        assert cli.main(["run", str(bad)]) == 2
+        assert list(tmp_path.iterdir()) == [bad]
+        run_dir = run_experiment(make_spec(tmp_path, "x", "pareto"))
+        before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+        assert cli.main(["run", str(bad)]) == 2
+        assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
+        assert sorted(tmp_path.iterdir()) == [bad, run_dir]
+
+    def test_rerun_replaces_another_protocols_run(self, tmp_path):
+        run_experiment(make_spec(tmp_path, "x", "nucleation_sweep",
+                                 params={"repeats": 2, "pulses": 5}))
+        run_dir = run_experiment(make_spec(tmp_path, "x", "pareto"))
+        assert sorted(f.name for f in run_dir.iterdir()) == [
+            "config_snapshot.yaml", "manifest.json", "pareto.csv",
+            "summary.json"]
+        assert list(tmp_path.iterdir()) == [run_dir]
+
     def test_different_seeds_differ(self, tmp_path):
         dirs = []
         for sub, seed in (("a", 1), ("b", 2)):

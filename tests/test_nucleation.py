@@ -1,22 +1,39 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skysum import (
+    InputVector,
     InsufficientData,
+    PulseTrain,
     SingularFit,
     StochasticModel,
     analytic_sigma,
+    build_crossbar,
     estimate_pbar_from_trace,
     expected_cumulative,
     fit_weight,
     monte_carlo_sigma,
+    paper2024,
+    pulse_distribution,
     sample_pulse_count,
     sample_pulse_counts,
+    sample_pulse_sums,
     simulate_cumulative,
     stream,
 )
+from skysum.crossbar import monte_carlo_column_counts
+
+#: Upper 1e-6 quantile of chi-squared with 7 degrees of freedom.  Outcomes
+#: are merged into at most 8 bins and the quantile grows with the degrees
+#: of freedom, so a correct sampler fails a check below with probability
+#: at most 1e-6.
+CHI2_CRIT = 40.52
+
+LAW_DRAWS = 20_000
 
 
 class TestStochasticModel:
@@ -78,6 +95,77 @@ class TestSamplePulseCount:
             sample_pulse_count(-0.1, StochasticModel(0.0), stream(0, "n"))
 
 
+def _sum_pmf(w, model, n_pulses):
+    """Exact law of the total over n_pulses pulses: the n-fold
+    convolution of the one-pulse law, indexed by count."""
+    values, probs = pulse_distribution(w, model)
+    one = np.bincount(values, weights=probs)
+    pmf = np.ones(1)
+    for _ in range(n_pulses):
+        pmf = np.convolve(pmf, one)
+    return pmf
+
+
+def _assert_follows(samples, pmf):
+    """Samples never land where pmf is 0, and pass a chi-squared test with
+    adjacent counts merged into bins of probability >= 1/8."""
+    observed = np.bincount(samples)
+    assert observed.size <= pmf.size
+    observed = np.pad(observed, (0, pmf.size - observed.size))
+    assert not observed[pmf == 0].any()
+    bins_o, bins_p = [0], [0.0]
+    for o, p in zip(observed, pmf):
+        if bins_p[-1] >= 1 / 8:
+            bins_o.append(0)
+            bins_p.append(0.0)
+        bins_o[-1] += o
+        bins_p[-1] += p
+    if len(bins_p) > 1 and bins_p[-1] < 1 / 8:
+        o, p = bins_o.pop(), bins_p.pop()
+        bins_o[-1] += o
+        bins_p[-1] += p
+    expected = samples.size * np.array(bins_p)
+    chi2 = float(np.sum((np.array(bins_o) - expected) ** 2 / expected))
+    assert chi2 < CHI2_CRIT
+
+
+class TestPulseLaw:
+    def test_unit_weight_law(self):
+        values, probs = pulse_distribution(1.0, StochasticModel(0.4))
+        law = np.bincount(values, weights=probs)
+        np.testing.assert_allclose(law, [0.2, 0.6, 0.2, 0.0], atol=1e-15)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            pulse_distribution(-0.1, StochasticModel(0.0))
+
+    @settings(deadline=None)
+    @given(w=st.floats(0.0, 4.0), p_bar=st.floats(0.0, 1.0),
+           n_pulses=st.integers(0, 30))
+    @example(w=0.0, p_bar=0.4, n_pulses=10)
+    @example(w=1.5, p_bar=0.0, n_pulses=10)
+    @example(w=2.0, p_bar=0.0, n_pulses=10)
+    @example(w=0.3, p_bar=1.0, n_pulses=10)
+    @example(w=1.0, p_bar=0.4, n_pulses=0)
+    def test_samplers_follow_the_law(self, w, p_bar, n_pulses):
+        model = StochasticModel(p_bar)
+        values, probs = pulse_distribution(w, model)
+        assert values.min() >= 0 and values.max() <= math.floor(w) + 2
+        assert probs.min() >= 0 and math.isclose(probs.sum(), 1.0)
+        # Deviations are symmetric, so only the clamp at zero moves the mean.
+        mean = float(values @ probs)
+        assert mean >= w - 1e-12
+        if w >= 1:
+            assert mean == pytest.approx(w, abs=1e-12)
+        key = repr((w, p_bar, n_pulses))
+        pulses = sample_pulse_counts(w, model, stream(0, "law", key),
+                                     (LAW_DRAWS,))
+        _assert_follows(pulses, _sum_pmf(w, model, 1))
+        sums = sample_pulse_sums(w, model, stream(0, "sum-law", key),
+                                 n_pulses, LAW_DRAWS)
+        _assert_follows(sums, _sum_pmf(w, model, n_pulses))
+
+
 class TestSigma:
     def test_analytic_values(self):
         assert analytic_sigma(StochasticModel(0.0), 50) == 0.0
@@ -111,6 +199,27 @@ class TestSigma:
     def test_monte_carlo_needs_trials(self):
         with pytest.raises(ValueError):
             monte_carlo_sigma(StochasticModel(0.3), 20, 500, seed=0)
+
+    def test_memory_bounded(self):
+        # 1e5 trials x 1000 pulses on one crossing: per-pulse arrays would
+        # take gigabytes; sum sampling keeps the peak in megabytes.
+        cal = paper2024()
+        model = StochasticModel(0.4)
+        config = build_crossbar(cal, [[1.0]], transport_mode="ideal",
+                                enforce_capacity=False)
+        inputs = InputVector(
+            (PulseTrain(1000, cal.current_ref, cal.duration_ref),))
+        tracemalloc.start()
+        try:
+            monte_carlo_column_counts(config, inputs, model, 100_000, seed=0)
+            _, column_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            monte_carlo_sigma(model, 1000, 100_000, seed=0)
+            _, sigma_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert column_peak < 64e6
+        assert sigma_peak < 64e6
 
 
 class TestPbarEstimator:
