@@ -16,10 +16,10 @@ from skysum import (
     analytic_sigma,
     build_crossbar,
     expected_sums,
+    monte_carlo_column_counts,
     monte_carlo_sum_relative_std,
     mtj_activation,
     paper2024,
-    run_weighted_sum,
 )
 
 cal = paper2024()
@@ -27,12 +27,12 @@ model = StochasticModel(0.4)
 
 print("== a 4-track, 2-column crossbar, linear Hall readout ==")
 weights = [[1.0, 0.5], [2.0, 1.0], [0.0, 1.5], [1.0, 0.0]]
-config = build_crossbar(cal, weights, transport_mode="ideal")
+config = build_crossbar(cal, weights)
 iv = InputVector(tuple(PulseTrain(n, 171.0, 50.0) for n in (10, 5, 8, 12)))
 print(f"  expected column sums: {expected_sums(config, iv)}")
-res = run_weighted_sum(config, iv, model, cal, seed=42)
-print(f"  one stochastic run:   {res.n_detec} skyrmions -> "
-      f"{res.output} nV")
+n_detec = monte_carlo_column_counts(config, iv, model, trials=1, seed=42)[0]
+print(f"  one stochastic run:   {n_detec} skyrmions -> "
+      f"{n_detec * cal.per_skyrmion_voltage_mean} nV")
 
 print("\n== the sqrt(M) averaging of synaptic noise ==")
 print(f"  {'M':>4} {'measured':>10} {'sigma(N)/sqrt(M)':>18}")

@@ -26,6 +26,7 @@ from .crossbar import (
     check_current_uniformity,
     current_uniformity,
     expected_sums,
+    monte_carlo_column_counts,
     monte_carlo_sum_relative_std,
     run_fig4_protocol,
     run_weighted_sum,

@@ -67,21 +67,37 @@ def get_str(doc: dict, key: str, path: str, default=None) -> str:
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_range(value: float, where: str, minimum, maximum, positive):
+    if positive:
+        _expect(value > 0, where, "must be > 0")
+    if minimum is not None:
+        _expect(value >= minimum, where, f"must be >= {minimum}")
+    if maximum is not None:
+        _expect(value <= maximum, where, f"must be <= {maximum}")
+
+
 def get_int(doc: dict, key: str, path: str, default=None, minimum=None) -> int:
     value = doc.get(key, default)
     _expect(value is not None, f"{path}{key}", "required field is missing")
-    _expect(isinstance(value, int) and not isinstance(value, bool),
-            f"{path}{key}", "expected an integer")
-    if minimum is not None:
-        _expect(value >= minimum, f"{path}{key}", f"must be >= {minimum}")
+    _expect(_is_int(value), f"{path}{key}", "expected an integer")
+    _check_range(value, f"{path}{key}", minimum, None, False)
     return value
 
 
-def get_float(doc: dict, key: str, path: str, default=None) -> float:
+def get_float(doc: dict, key: str, path: str, default=None, minimum=None,
+              maximum=None, positive: bool = False) -> float:
     value = doc.get(key, default)
     _expect(value is not None, f"{path}{key}", "required field is missing")
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{path}{key}", "expected a number")
+    _expect(_is_number(value), f"{path}{key}", "expected a number")
+    _check_range(value, f"{path}{key}", minimum, maximum, positive)
     return float(value)
 
 
@@ -97,6 +113,20 @@ def get_list(doc: dict, key: str, path: str, default=None) -> list:
     _expect(isinstance(value, list) and len(value) > 0, f"{path}{key}",
             "expected a non-empty list")
     return value
+
+
+def get_numbers(doc: dict, key: str, path: str, default=None,
+                integer: bool = False, minimum=None, maximum=None,
+                positive: bool = False) -> list:
+    """A non-empty list of numbers (of integers if ``integer``), each
+    checked against the same bounds as ``get_float``."""
+    values = get_list(doc, key, path, default)
+    kind = "an integer" if integer else "a number"
+    for value in values:
+        _expect((_is_int if integer else _is_number)(value), f"{path}{key}",
+                f"entry {value!r} is not {kind}")
+        _check_range(value, f"{path}{key}", minimum, maximum, positive)
+    return [int(v) if integer else float(v) for v in values]
 
 
 def load_document(path) -> dict:

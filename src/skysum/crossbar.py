@@ -24,7 +24,6 @@ from .errors import ProtocolError
 from .nucleation import (
     MC_BLOCK,
     StochasticModel,
-    sample_pulse_count,
     sample_pulse_counts,
     sample_pulse_sums,
 )
@@ -51,9 +50,6 @@ from .transport import (
 LINEAR_AHE = "linear_ahe"
 MTJ = "mtj"
 
-KINEMATIC = "kinematic"
-IDEAL = "ideal"
-
 #: Minimum series-to-track resistance ratio for the uniform-current budget.
 MIN_SERIES_RATIO = 50.0
 
@@ -67,8 +63,6 @@ class CrossbarConfig:
     track_resistances  Ohm per track
     series_resistance  Ohm, calibrated resistor at each end of each track
     readout_mode       'linear_ahe' or 'mtj'
-    transport_mode     'kinematic' (full particle motion) or 'ideal'
-                       (every nucleated skyrmion reaches its zone)
     """
 
     weights: np.ndarray
@@ -77,7 +71,6 @@ class CrossbarConfig:
     series_resistance: float = 12000.0
     readout_mode: str = LINEAR_AHE
     mtj: MtjConfig | None = None
-    transport_mode: str = KINEMATIC
     enforce_capacity: bool = True
 
     def __post_init__(self):
@@ -104,8 +97,6 @@ class CrossbarConfig:
             raise ValueError("readout_mode must be 'linear_ahe' or 'mtj'")
         if self.readout_mode == MTJ and self.mtj is None:
             raise ValueError("mtj readout requires an MtjConfig")
-        if self.transport_mode not in (KINEMATIC, IDEAL):
-            raise ValueError("transport_mode must be 'kinematic' or 'ideal'")
 
     @property
     def m_tracks(self) -> int:
@@ -140,7 +131,6 @@ def build_crossbar(cal: DeviceCalibration, weights, *,
                    readout_mode: str = LINEAR_AHE, mtj: MtjConfig | None = None,
                    zone_start_x: float = 5.0, zone_pitch: float = 10.0,
                    zone_side: float = 6.0, capacity: int | None = None,
-                   transport_mode: str = KINEMATIC,
                    enforce_capacity: bool = True) -> CrossbarConfig:
     """Lay out a crossbar with evenly pitched detection zones.
 
@@ -175,7 +165,6 @@ def build_crossbar(cal: DeviceCalibration, weights, *,
         series_resistance=series_resistance,
         readout_mode=readout_mode,
         mtj=mtj,
-        transport_mode=transport_mode,
         enforce_capacity=enforce_capacity,
     )
 
@@ -197,34 +186,37 @@ def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
                           rng: np.random.Generator) -> np.ndarray:
     """In-zone counts per column after running one track's pulse train.
 
-    Kinematic mode moves the whole track population each pulse and injects
-    fresh skyrmions at each column's site; counts are taken as a snapshot
-    after the full train (crowding applied per zone).  Ideal mode skips the
-    particle motion and delivers every nucleated skyrmion to its zone.
+    Each column's births are drawn in one call.  Every pulse moves every
+    skyrmion by the same step, so a skyrmion's state depends only on its
+    birth site and its age: one representative per column site is advanced
+    through the train, and the cohort born on pulse k takes its state after
+    the N-1-k pulses that follow.  Ids follow birth order (pulse-major,
+    column-minor), so crowding displaces the latest arrivals first.
     """
-    weights_row = config.weights[track]
+    n, l = pulse.count, config.l_columns
+    births = np.empty((n, l), dtype=np.int64)
+    for j, w in enumerate(config.weights[track]):
+        births[:, j] = sample_pulse_counts(w, stochastic, rng, (n,))
     zones_row = config.zones[track]
-    l = config.l_columns
-    if config.transport_mode == IDEAL:
-        counts = np.empty(l, dtype=np.int64)
-        for j in range(l):
-            samples = sample_pulse_counts(weights_row[j], stochastic, rng,
-                                          (pulse.count,))
-            total = int(samples.sum())
-            if config.enforce_capacity:
-                total = min(total, zones_row[j].capacity)
-            counts[j] = total
-        return counts
-
+    sites = np.column_stack([[zone.bounds[0] for zone in zones_row],
+                             np.full(l, cal.notch_y)])
+    rep = SkyrmionPopulation.at_positions(sites, track_id=track)
     single = PulseTrain(1, pulse.current_density, pulse.duration)
-    notches = [(zone.bounds[0], cal.notch_y) for zone in zones_row]
-    pop = SkyrmionPopulation.empty(track_id=track)
-    for _ in range(pulse.count):
-        pop = advance(pop, single, cal)
-        for j in range(l):
-            created = sample_pulse_count(weights_row[j], stochastic, rng)
-            if created:
-                pop = pop.spawn(created, *notches[j])
+    x, y = np.empty((n, l)), np.empty((n, l))
+    alive = np.empty((n, l), dtype=bool)
+    for k in range(n - 1, -1, -1):
+        x[k], y[k], alive[k] = rep.x, rep.y, rep.alive
+        if k:
+            rep = advance(rep, single, cal)
+    per_cohort = births.ravel()
+    total = int(per_cohort.sum())
+    pop = SkyrmionPopulation(
+        ids=np.arange(total, dtype=np.int64),
+        x=np.repeat(x.ravel(), per_cohort),
+        y=np.repeat(y.ravel(), per_cohort),
+        alive=np.repeat(alive.ravel(), per_cohort),
+        pinned=np.zeros(total, dtype=bool),
+        track_id=track)
     if config.enforce_capacity:
         for zone in zones_row:
             pop = apply_capacity(pop, zone)
@@ -254,7 +246,8 @@ def run_weighted_sum(config: CrossbarConfig, input_vector: InputVector,
 
     Each track draws from its own derived stream, so a track's counts do
     not depend on which other tracks are present (linear-mode outputs are
-    therefore exactly additive across tracks when noise is off).
+    therefore exactly additive across tracks when noise is off).  Each
+    column is read once, from its summed count.
     """
     expected = expected_sums(config, input_vector)
     m, l = config.m_tracks, config.l_columns
@@ -269,10 +262,8 @@ def run_weighted_sum(config: CrossbarConfig, input_vector: InputVector,
     if config.readout_mode == LINEAR_AHE:
         meas_rng = stream(seed, "readout") if noise else None
         for j in range(l):
-            output[j] = sum(
-                hall_voltage(int(per_track[i, j]), cal, noise=noise,
-                             rng=meas_rng, sigma_meas=sigma_meas)
-                for i in range(m))
+            output[j] = hall_voltage(int(n_detec[j]), cal, noise=noise,
+                                     rng=meas_rng, sigma_meas=sigma_meas)
     else:
         for j in range(l):
             output[j] = mtj_activation(int(n_detec[j]), config.mtj, cal)
@@ -284,12 +275,15 @@ def run_weighted_sum(config: CrossbarConfig, input_vector: InputVector,
 def monte_carlo_column_counts(config: CrossbarConfig, input_vector: InputVector,
                               stochastic: StochasticModel, trials: int,
                               seed: int) -> np.ndarray:
-    """(trials, L) matrix of summed column counts under ideal transport.
+    """(trials, L) matrix of summed column counts under ideal transport:
+    every nucleated skyrmion reaches its own zone and stays there.
 
-    Each crossing's per-trial total is drawn exactly by
-    ``sample_pulse_sums`` from its own stream; capacity is applied per
-    crossing when the config enforces it.  A crossing with zero weight or
-    zero pulses contributes nothing and draws no stream.
+    This is the transport-free counterpart of ``run_weighted_sum``, which
+    moves skyrmions and so loses those that leave their zone.  Each
+    crossing's per-trial total is drawn exactly by ``sample_pulse_sums``
+    from its own stream; capacity is applied per crossing when the config
+    enforces it, and zone geometry is not read.  A crossing with zero
+    weight or zero pulses contributes nothing and draws no stream.
     """
     m, l = config.m_tracks, config.l_columns
     totals = np.zeros((trials, l), dtype=np.int64)

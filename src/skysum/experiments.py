@@ -28,7 +28,7 @@ from .config import (
     get_bool,
     get_float,
     get_int,
-    get_list,
+    get_numbers,
     get_str,
 )
 from .crossbar import (
@@ -59,7 +59,7 @@ from .readout import (
     measure_protocol,
 )
 from .rng import stream
-from .transport import DetectionZone
+from .transport import DetectionZone, zone_within_track
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +122,18 @@ def _zone_from_params(params: dict, path: str, cal: DeviceCalibration) -> Detect
     block = params.get("zone", {})
     if not isinstance(block, dict):
         raise ValidationError(f"{path}.zone", "expected a mapping")
-    return DetectionZone(
+    zone = DetectionZone(
         center_x=get_float(block, "center_x", f"{path}.zone.", default=8.0),
         center_y=get_float(block, "center_y", f"{path}.zone.",
                            default=cal.track_width / 2.0),
-        side=get_float(block, "side", f"{path}.zone.", default=6.0),
+        side=get_float(block, "side", f"{path}.zone.", default=6.0,
+                       positive=True),
         capacity=get_int(block, "capacity", f"{path}.zone.", default=81,
                          minimum=1),
     )
+    if not zone_within_track(zone, cal):
+        raise ValidationError(f"{path}.zone", "must lie within the track")
+    return zone
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +152,7 @@ def run_nucleation_sweep(cal: DeviceCalibration, params: dict, seed: int,
         raise ValidationError(p + "sweep",
                               "must be 'field', 'current' or 'duration'")
     if "values" in params:
-        values = [float(v) for v in get_list(params, "values", p)]
+        values = get_numbers(params, "values", p, positive=sweep != "field")
     elif sweep == "field":
         values = [20.0 + 0.5 * k for k in range(13)]
     else:
@@ -156,10 +160,13 @@ def run_nucleation_sweep(cal: DeviceCalibration, params: dict, seed: int,
                               "required for current/duration sweeps")
     pulses = get_int(params, "pulses", p, default=20, minimum=1)
     repeats = get_int(params, "repeats", p, default=100, minimum=1)
-    p_bar = get_float(params, "p_bar", p, default=0.4)
+    p_bar = get_float(params, "p_bar", p, default=0.4, minimum=0.0,
+                      maximum=1.0)
     base_field = get_float(params, "field", p, default=24.0)
-    base_j = get_float(params, "current_density", p, default=cal.current_ref)
-    base_t = get_float(params, "duration", p, default=cal.duration_ref)
+    base_j = get_float(params, "current_density", p, default=cal.current_ref,
+                       positive=True)
+    base_t = get_float(params, "duration", p, default=cal.duration_ref,
+                       positive=True)
     model = StochasticModel(p_bar)
 
     def weight_at(value: float) -> float:
@@ -219,9 +226,11 @@ def run_detection_run(cal: DeviceCalibration, params: dict, seed: int,
     reset = get_int(params, "reset", p, default=1, minimum=0)
     post = get_int(params, "post", p, default=10, minimum=0)
     weight = get_float(params, "weight", p, default=1.0)
-    j = get_float(params, "current_density", p, default=150.0)
-    t = get_float(params, "duration", p, default=cal.duration_ref)
-    p_bar = get_float(params, "p_bar", p, default=0.0)
+    j = get_float(params, "current_density", p, default=150.0, positive=True)
+    t = get_float(params, "duration", p, default=cal.duration_ref,
+                  positive=True)
+    p_bar = get_float(params, "p_bar", p, default=0.0, minimum=0.0,
+                      maximum=1.0)
     noise = get_bool(params, "noise", p, default=False)
     sigma_meas = get_float(params, "sigma_meas", p,
                            default=DEFAULT_SIGMA_MEAS_NV)
@@ -269,13 +278,14 @@ def run_fig4_twotrack(cal: DeviceCalibration, params: dict, seed: int,
     """Two-track weighted-sum demonstration with duration-tuned weights."""
     p = "fig4_twotrack."
     pulses = get_int(params, "pulses", p, default=20, minimum=0)
-    durations = params.get("durations", [50.0, 50.0])
-    if (not isinstance(durations, list) or len(durations) != 2
-            or not all(isinstance(d, (int, float)) for d in durations)):
+    durations = get_numbers(params, "durations", p, default=[50.0, 50.0],
+                            positive=True)
+    if len(durations) != 2:
         raise ValidationError(p + "durations", "expected two numbers")
-    j = get_float(params, "current_density", p, default=116.0)
+    j = get_float(params, "current_density", p, default=116.0, positive=True)
     weight = get_float(params, "weight", p, default=1.0)
-    p_bar = get_float(params, "p_bar", p, default=0.0)
+    p_bar = get_float(params, "p_bar", p, default=0.0, minimum=0.0,
+                      maximum=1.0)
     noise = get_bool(params, "noise", p, default=True)
     sigma_meas = get_float(params, "sigma_meas", p,
                            default=DEFAULT_SIGMA_MEAS_NV)
@@ -284,12 +294,12 @@ def run_fig4_twotrack(cal: DeviceCalibration, params: dict, seed: int,
     post = get_int(params, "post", p, default=10, minimum=0)
 
     try:
-        field = field_for_weight(cal, weight, float(durations[0]), j)
+        field = field_for_weight(cal, weight, durations[0], j)
     except OutOfRange as exc:
         raise ValidationError(p + "weight", str(exc))
-    weights = [[synaptic_weight(cal, field, float(d), j)] for d in durations]
+    weights = [[synaptic_weight(cal, field, d, j)] for d in durations]
     config = build_crossbar(cal, weights)
-    specs = [PulseTrain(pulses, j, float(d)) for d in durations]
+    specs = [PulseTrain(pulses, j, d) for d in durations]
     trace = run_fig4_protocol(config, specs, cal, StochasticModel(p_bar),
                               seed=seed, noise=noise, sigma_meas=sigma_meas,
                               baseline=baseline, hold=hold, post=post)
@@ -324,16 +334,13 @@ def run_montecarlo_sigma(cal: DeviceCalibration, params: dict, seed: int,
                          outdir: Path) -> dict:
     """Monte Carlo fluctuation sweep against the analytic sigma law."""
     p = "montecarlo_sigma."
-    p_bars = [float(v) for v in params.get("p_bars",
-                                           [0.0, 0.2, 0.4, 0.6, 0.8])]
-    n_pulses = [int(v) for v in params.get(
-        "n_pulses", [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000])]
+    p_bars = get_numbers(params, "p_bars", p,
+                         default=[0.0, 0.2, 0.4, 0.6, 0.8],
+                         minimum=0.0, maximum=1.0)
+    n_pulses = get_numbers(params, "n_pulses", p,
+                           default=[1, 2, 5, 10, 20, 50, 100, 200, 500, 1000],
+                           integer=True, minimum=1)
     trials = get_int(params, "trials", p, default=10000, minimum=1000)
-    for v in p_bars:
-        if not 0.0 <= v <= 1.0:
-            raise ValidationError(p + "p_bars", "entries must lie in [0, 1]")
-    if any(n < 1 for n in n_pulses):
-        raise ValidationError(p + "n_pulses", "entries must be >= 1")
 
     rows = []
     max_rel_err = 0.0
@@ -358,7 +365,8 @@ def run_pareto(cal: DeviceCalibration, params: dict, seed: int,
     """Energy versus precision tables for each nucleation energy preset."""
     p = "pareto."
     m = get_int(params, "m", p, default=10, minimum=1)
-    p_bar = get_float(params, "p_bar", p, default=0.4)
+    p_bar = get_float(params, "p_bar", p, default=0.4, minimum=0.0,
+                      maximum=1.0)
     presets = params.get("presets", sorted(ENERGY_PRESETS))
     if not isinstance(presets, list) or not presets:
         raise ValidationError(p + "presets", "expected a non-empty list")
@@ -406,15 +414,13 @@ def run_netsim(cal: DeviceCalibration, params: dict, seed: int,
     p = "netsim."
     weights = _load_weights(params, "netsim")
     states = get_int(params, "states", p, default=15, minimum=2)
-    inputs = get_list(params, "input", p)
-    if not all(isinstance(v, int) and v >= 0 for v in inputs):
-        raise ValidationError(p + "input",
-                              "expected non-negative integer pulse counts")
+    inputs = get_numbers(params, "input", p, integer=True, minimum=0)
     if len(inputs) != weights.shape[0]:
         raise ValidationError(p + "input",
                               f"length must match {weights.shape[0]} rows")
     trials = get_int(params, "trials", p, default=0, minimum=0)
-    p_bar = get_float(params, "p_bar", p, default=0.4)
+    p_bar = get_float(params, "p_bar", p, default=0.4, minimum=0.0,
+                      maximum=1.0)
     readout = get_str(params, "readout", p, default="identity")
     if readout not in ("identity", "linear_ahe"):
         raise ValidationError(p + "readout",

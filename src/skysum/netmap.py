@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import (
-    IDEAL,
     LINEAR_AHE,
     MTJ,
     InputVector,
@@ -159,9 +158,11 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
 
     Expected mode evaluates f(sum w+ x) - f(sum w- x) per differential
     pair; with the identity readout this is exactly the quantised
-    matrix-vector product.  Stochastic mode samples each crossing's
-    pulse total through the crossbar (ideal transport) and returns one row
-    per trial (shape (trials, L); a single trial returns shape (L,)).
+    matrix-vector product.  Stochastic mode draws each crossing's pulse
+    total with ``monte_carlo_column_counts``, i.e. every nucleated skyrmion
+    reaches its zone (no transport loss, capacity applied per crossing),
+    and returns one row per trial (shape (trials, L); a single trial
+    returns shape (L,)).
     """
     x = np.asarray(input_vector, dtype=np.int64)
     m, l = layer.shape
@@ -182,12 +183,13 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
     if stochastic is None:
         raise ValueError("stochastic mode needs a StochasticModel")
 
-    # Differential pairs as a 2L-column ideal-transport crossbar.
+    # Differential pairs as a 2L-column crossbar.  Its counts come from
+    # monte_carlo_column_counts, which only reads each zone's capacity, so
+    # every zone may sit on the same site.
     weights = np.concatenate([layer.w_pos, layer.w_neg], axis=1)
     config = build_crossbar(
         cal, weights,
-        zone_pitch=0.0, zone_start_x=5.0,   # geometry unused in ideal mode
-        transport_mode=IDEAL,
+        zone_pitch=0.0, zone_start_x=5.0,
         enforce_capacity=capacity is not None,
         capacity=capacity if capacity is not None else 1,
     )

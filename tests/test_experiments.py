@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from skysum import MissingArtifact, ValidationError, cli, paper2024
 from skysum.config import spec_from_dict, spec_from_file
@@ -77,6 +78,35 @@ class TestSpecValidation:
                        f"output_dir: {tmp_path}\n")
         assert cli.main(["run", str(det), "--seed", "-5"]) == 2
         assert not (tmp_path / "det").exists()
+
+    @pytest.mark.parametrize("protocol, params, path", [
+        ("nucleation_sweep", {"p_bar": 1.5}, "nucleation_sweep.p_bar"),
+        ("detection_run", {"p_bar": -0.1}, "detection_run.p_bar"),
+        ("fig4_twotrack", {"p_bar": 2}, "fig4_twotrack.p_bar"),
+        ("pareto", {"p_bar": 1.5}, "pareto.p_bar"),
+        ("netsim", {"weights": [[1.0]], "input": [3], "trials": 10,
+                    "p_bar": 1.5}, "netsim.p_bar"),
+        ("montecarlo_sigma", {"p_bars": ["high"]}, "montecarlo_sigma.p_bars"),
+        ("montecarlo_sigma", {"n_pulses": ["ten"]},
+         "montecarlo_sigma.n_pulses"),
+        ("nucleation_sweep", {"values": ["a"]}, "nucleation_sweep.values"),
+        ("detection_run", {"zone": {"center_x": 100.0}}, "detection_run.zone"),
+        ("detection_run", {"zone": {"side": 0}}, "detection_run.zone.side"),
+        ("detection_run", {"current_density": 0},
+         "detection_run.current_density"),
+        ("nucleation_sweep", {"duration": -5.0}, "nucleation_sweep.duration"),
+        ("montecarlo_sigma", {"n_pulses": [2.5]},
+         "montecarlo_sigma.n_pulses"),
+    ])
+    def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
+                                          params, path):
+        spec = tmp_path / "bad.yaml"
+        spec.write_text(yaml.safe_dump({
+            "name": "bad", "protocol": protocol, "output_dir": str(tmp_path),
+            protocol: params}))
+        assert cli.main(["run", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert list(tmp_path.iterdir()) == [spec]
 
 
 class TestRunDirectories:

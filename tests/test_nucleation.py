@@ -205,8 +205,7 @@ class TestSigma:
         # take gigabytes; sum sampling keeps the peak in megabytes.
         cal = paper2024()
         model = StochasticModel(0.4)
-        config = build_crossbar(cal, [[1.0]], transport_mode="ideal",
-                                enforce_capacity=False)
+        config = build_crossbar(cal, [[1.0]], enforce_capacity=False)
         inputs = InputVector(
             (PulseTrain(1000, cal.current_ref, cal.duration_ref),))
         tracemalloc.start()
