@@ -17,6 +17,7 @@ from skysum import (
     apply_capacity,
     count_in_zone,
     field_reset,
+    notch_position,
     paper2024,
     reverse_erase,
     stream,
@@ -30,7 +31,7 @@ print("== nucleate one skyrmion per pulse and watch the train ==")
 pop = SkyrmionPopulation.empty()
 rows = []
 for pulse in range(1, 21):
-    pop = advance(pop, step, cal, nucleated=1)
+    pop = advance(pop, step, cal).spawn(1, *notch_position(cal))
     rows.extend(pop.to_rows(pulse_index=pulse))
     if pulse % 5 == 0:
         lead = pop.x[pop.alive].max()
@@ -58,7 +59,7 @@ print(f"  100 arrivals, capacity {zone.capacity}: "
 print("\n== electrical erase: reverse pulses push skyrmions to the notch ==")
 pop = SkyrmionPopulation.empty()
 for _ in range(20):
-    pop = advance(pop, step, cal, nucleated=1)
+    pop = advance(pop, step, cal).spawn(1, *notch_position(cal))
 back = PulseTrain(40, 171.0, 50.0, polarity="reverse")
 erased = reverse_erase(pop, back, cal, residual_prob=0.05,
                        rng=stream(3, "erase"))

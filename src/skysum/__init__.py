@@ -102,5 +102,6 @@ from .transport import (
     field_reset,
     notch_position,
     reverse_erase,
+    trajectory,
     zone_within_track,
 )

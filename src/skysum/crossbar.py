@@ -40,10 +40,10 @@ from .rng import stream
 from .transport import (
     DetectionZone,
     SkyrmionPopulation,
-    advance,
     apply_capacity,
     count_in_zone,
     default_capacity,
+    trajectory,
     zone_within_track,
 )
 
@@ -188,10 +188,10 @@ def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
 
     Each column's births are drawn in one call.  Every pulse moves every
     skyrmion by the same step, so a skyrmion's state depends only on its
-    birth site and its age: one representative per column site is advanced
-    through the train, and the cohort born on pulse k takes its state after
-    the N-1-k pulses that follow.  Ids follow birth order (pulse-major,
-    column-minor), so crowding displaces the latest arrivals first.
+    birth site and its age: the cohort born on pulse k takes the state its
+    site's ``trajectory`` reaches after the N-1-k pulses that follow.  Ids
+    follow birth order (pulse-major, column-minor), so crowding displaces
+    the latest arrivals first.
     """
     n, l = pulse.count, config.l_columns
     births = np.empty((n, l), dtype=np.int64)
@@ -200,14 +200,7 @@ def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
     zones_row = config.zones[track]
     sites = np.column_stack([[zone.bounds[0] for zone in zones_row],
                              np.full(l, cal.notch_y)])
-    rep = SkyrmionPopulation.at_positions(sites, track_id=track)
-    single = PulseTrain(1, pulse.current_density, pulse.duration)
-    x, y = np.empty((n, l)), np.empty((n, l))
-    alive = np.empty((n, l), dtype=bool)
-    for k in range(n - 1, -1, -1):
-        x[k], y[k], alive[k] = rep.x, rep.y, rep.alive
-        if k:
-            rep = advance(rep, single, cal)
+    x, y, alive = (a[::-1] for a in trajectory(sites, pulse, cal, n))
     per_cohort = births.ravel()
     total = int(per_cohort.sum())
     pop = SkyrmionPopulation(
@@ -215,8 +208,7 @@ def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
         x=np.repeat(x.ravel(), per_cohort),
         y=np.repeat(y.ravel(), per_cohort),
         alive=np.repeat(alive.ravel(), per_cohort),
-        pinned=np.zeros(total, dtype=bool),
-        track_id=track)
+        pinned=np.zeros(total, dtype=bool))
     if config.enforce_capacity:
         for zone in zones_row:
             pop = apply_capacity(pop, zone)
@@ -340,11 +332,10 @@ def run_fig4_protocol(config: CrossbarConfig, per_track_pulse_specs,
 
     tracks = [
         SequencedTrack(
-            population=SkyrmionPopulation.empty(track_id=t),
             zone=config.zones[t][0],
             notch=(config.zones[t][0].bounds[0], cal.notch_y),
             weight=config.weights[t, 0],
-            pulse=PulseTrain(1, specs[t].current_density, specs[t].duration),
+            pulse=specs[t],
             stochastic=stochastic,
             rng=stream(seed, "track", t),
             enforce_capacity=config.enforce_capacity)

@@ -94,6 +94,8 @@ class DeviceCalibration:
             raise ValueError("velocity_points must be strictly increasing in J")
         if any(b <= a for a, b in zip(vs, vs[1:])):
             raise ValueError("velocity_points must be strictly increasing in v")
+        if vs[0] <= 0:
+            raise ValueError("velocity_points must have positive velocities")
         if not 0.0 < self.notch_depth_fraction < 1.0:
             raise ValueError("notch_depth_fraction must lie in (0, 1)")
         for name in ("duration_ref", "duration_zero", "current_ref",
@@ -107,6 +109,11 @@ class DeviceCalibration:
     def notch_y(self) -> float:
         """Transverse notch position (um), measured from the near edge."""
         return self.notch_depth_fraction * self.track_width
+
+    @property
+    def velocity_window(self) -> tuple[float, float]:
+        """(J_min, J_max) in GA/m^2: the densities the velocity table spans."""
+        return self.velocity_points[0][0], self.velocity_points[-1][0]
 
     @property
     def hall_angle_rad(self) -> float:
@@ -310,12 +317,12 @@ def velocity_from_current(cal: DeviceCalibration, j: float) -> float:
     Only interpolation inside the table is allowed; the velocity law was
     measured in a finite window and extrapolating it is refused.
     """
+    j_min, j_max = cal.velocity_window
+    if j < j_min or j > j_max:
+        raise ExtrapolationError(
+            f"J = {j} GA/m^2 outside the calibrated window [{j_min}, {j_max}]")
     js = [p[0] for p in cal.velocity_points]
     vs = [p[1] for p in cal.velocity_points]
-    if j < js[0] or j > js[-1]:
-        raise ExtrapolationError(
-            f"J = {j} GA/m^2 outside the calibrated window "
-            f"[{js[0]}, {js[-1]}]")
     return float(np.interp(j, js, vs))
 
 

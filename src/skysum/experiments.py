@@ -226,7 +226,9 @@ def run_detection_run(cal: DeviceCalibration, params: dict, seed: int,
     reset = get_int(params, "reset", p, default=1, minimum=0)
     post = get_int(params, "post", p, default=10, minimum=0)
     weight = get_float(params, "weight", p, default=1.0)
-    j = get_float(params, "current_density", p, default=150.0, positive=True)
+    j_min, j_max = cal.velocity_window
+    j = get_float(params, "current_density", p, default=150.0, positive=True,
+                  minimum=j_min, maximum=j_max)
     t = get_float(params, "duration", p, default=cal.duration_ref,
                   positive=True)
     p_bar = get_float(params, "p_bar", p, default=0.0, minimum=0.0,
@@ -282,7 +284,9 @@ def run_fig4_twotrack(cal: DeviceCalibration, params: dict, seed: int,
                             positive=True)
     if len(durations) != 2:
         raise ValidationError(p + "durations", "expected two numbers")
-    j = get_float(params, "current_density", p, default=116.0, positive=True)
+    j_min, j_max = cal.velocity_window
+    j = get_float(params, "current_density", p, default=116.0, positive=True,
+                  minimum=j_min, maximum=j_max)
     weight = get_float(params, "weight", p, default=1.0)
     p_bar = get_float(params, "p_bar", p, default=0.0, minimum=0.0,
                       maximum=1.0)

@@ -194,9 +194,7 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
         capacity=capacity if capacity is not None else 1,
     )
     pulses = InputVector(tuple(
-        PulseTrain(int(n), cal.current_ref, cal.duration_ref) if n > 0
-        else PulseTrain(0, cal.current_ref, cal.duration_ref)
-        for n in x))
+        PulseTrain(int(n), cal.current_ref, cal.duration_ref) for n in x))
     counts = monte_carlo_column_counts(config, pulses, stochastic,
                                        trials, seed)
     pos, neg = counts[:, :l].astype(float), counts[:, l:].astype(float)

@@ -10,7 +10,7 @@ two-channel conduction law and doubles as the neuron activation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,12 +19,8 @@ from .errors import InsufficientData, InvalidRatio, ProtocolError
 from .nucleation import StochasticModel, sample_pulse_count
 from .transport import (
     DetectionZone,
-    SkyrmionPopulation,
-    advance,
-    apply_capacity,
-    count_in_zone,
-    field_reset,
     notch_position,
+    trajectory,
     zone_within_track,
 )
 
@@ -148,8 +144,7 @@ class TrackDevice:
     """One synaptic track wired to its detection zone.
 
     Groups the calibration, the programmed operating point (field plus the
-    pulse template) and the stochastic model; holds the evolving skyrmion
-    population as device state.
+    pulse template) and the stochastic model.
     """
 
     cal: DeviceCalibration
@@ -157,21 +152,11 @@ class TrackDevice:
     field: FieldSetting
     pulse: PulseTrain
     stochastic: StochasticModel
-    notch_x: float | None = None
     enforce_capacity: bool = True
-    population: SkyrmionPopulation = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.population is None:
-            self.population = SkyrmionPopulation.empty()
         if not zone_within_track(self.zone, self.cal):
             raise ValueError("detection zone must lie within the track")
-
-    @property
-    def notch(self) -> tuple[float, float]:
-        if self.notch_x is None:
-            return notch_position(self.cal)
-        return notch_position(self.cal, self.notch_x)
 
     @property
     def weight(self) -> float:
@@ -180,16 +165,15 @@ class TrackDevice:
                                self.pulse.current_density)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequencedTrack:
     """One track as the phase sequencer drives it.
 
-    ``population`` is replaced as the run advances; ``pulse`` is the single
-    forward pulse applied per pulsing sample and ``rng`` supplies the
-    nucleation draws (None: integer weights nucleate deterministically).
+    ``pulse`` is the template of the forward pulse applied per pulsing
+    sample (its count is not read) and ``rng`` supplies the nucleation
+    draws (None: integer weights nucleate deterministically).
     """
 
-    population: SkyrmionPopulation
     zone: DetectionZone
     notch: tuple[float, float]
     weight: float
@@ -212,29 +196,47 @@ def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
     before its samples; other steps only sample.  Measurement noise is
     drawn from ``meas_rng``.  ``drift_rate`` injects a linear instrumental
     drift (nV per sample index) so the drift correction can be exercised.
+
+    Each track is held as skyrmion counts per birth pulse (its cohorts):
+    the cohort born a pulses ago is in the zone iff the notch
+    ``trajectory`` is after a pulses.  Crowding parks the youngest in-zone
+    skyrmions past the zone, never to return, so they leave their cohort.
     """
+    inside, cohorts = [], []
+    for t, track in enumerate(tracks):
+        n = sum(s for phase, s, u in plan if phase == "pulsing" and u == t)
+        x, y, alive = trajectory([track.notch], track.pulse, cal, n)
+        inside.append(alive[:, 0] & track.zone.contains(x[:, 0], y[:, 0]))
+        cohorts.append(np.zeros(n, dtype=np.int64))
+    pulses = [0] * len(tracks)
+    # In-zone counts change only when a track is pulsed or reset.
+    in_zone = [0] * len(tracks)
     idx, phases, volts, counts = [], [], [], []
     i = 0
-    # In-zone counts change only when a track is pulsed or reset.
-    in_zone = [count_in_zone(track.population, track.zone) for track in tracks]
     for phase, samples, t in plan:
         if phase == "reset":
-            for track in tracks:
-                track.population = field_reset(track.population)
+            for born in cohorts:
+                born[:] = 0
             in_zone = [0] * len(tracks)
         pulsed = tracks[t] if phase == "pulsing" else None
         for _ in range(samples):
             if pulsed is not None:
-                created = (sample_pulse_count(pulsed.weight, pulsed.stochastic,
+                k = pulses[t]
+                pulses[t] += 1
+                born = cohorts[t]
+                born[k] = (sample_pulse_count(pulsed.weight, pulsed.stochastic,
                                               pulsed.rng)
                            if pulsed.rng is not None
                            else _deterministic_count(pulsed.weight))
-                pop = advance(pulsed.population, pulsed.pulse, cal,
-                              nucleated=created, notch=pulsed.notch)
-                if pulsed.enforce_capacity:
-                    pop = apply_capacity(pop, pulsed.zone)
-                pulsed.population = pop
-                in_zone[t] = count_in_zone(pop, pulsed.zone)
+                # held[j]: skyrmions born on pulse j, now k - j pulses old,
+                # that sit in the zone.
+                held = born[:k + 1] * inside[t][k::-1]
+                in_zone[t] = int(held.sum())
+                excess = in_zone[t] - pulsed.zone.capacity
+                if pulsed.enforce_capacity and excess > 0:
+                    younger = np.cumsum(held[::-1])[::-1] - held
+                    born[:k + 1] -= np.clip(excess - younger, 0, held)
+                    in_zone[t] = pulsed.zone.capacity
             i += 1
             n = sum(in_zone)
             v = hall_voltage(n, cal, noise=noise, rng=meas_rng,
@@ -268,16 +270,13 @@ def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
     if rng is None and device.stochastic.p_bar > 0:
         raise ProtocolError("stochastic nucleation requires an rng")
     track = SequencedTrack(
-        population=device.population, zone=device.zone, notch=device.notch,
+        zone=device.zone, notch=notch_position(device.cal),
         weight=device.weight,
-        pulse=PulseTrain(1, device.pulse.current_density, device.pulse.duration),
-        stochastic=device.stochastic, rng=rng,
+        pulse=device.pulse, stochastic=device.stochastic, rng=rng,
         enforce_capacity=device.enforce_capacity)
-    trace = run_phases([(name, count, 0) for name, count in protocol.phases],
-                       [track], device.cal, meas_rng=rng, noise=noise,
-                       sigma_meas=sigma_meas, drift_rate=drift_rate)
-    device.population = track.population
-    return trace
+    return run_phases([(name, count, 0) for name, count in protocol.phases],
+                      [track], device.cal, meas_rng=rng, noise=noise,
+                      sigma_meas=sigma_meas, drift_rate=drift_rate)
 
 
 def _deterministic_count(w: float) -> int:

@@ -44,7 +44,6 @@ class SkyrmionPopulation:
     y: np.ndarray
     alive: np.ndarray
     pinned: np.ndarray
-    track_id: int = 0
 
     def __post_init__(self):
         n = len(self.ids)
@@ -55,18 +54,17 @@ class SkyrmionPopulation:
             raise ValueError("skyrmion ids must be unique")
 
     @classmethod
-    def empty(cls, track_id: int = 0) -> "SkyrmionPopulation":
+    def empty(cls) -> "SkyrmionPopulation":
         return cls(
             ids=np.empty(0, dtype=np.int64),
             x=np.empty(0, dtype=float),
             y=np.empty(0, dtype=float),
             alive=np.empty(0, dtype=bool),
             pinned=np.empty(0, dtype=bool),
-            track_id=track_id,
         )
 
     @classmethod
-    def at_positions(cls, xy, track_id: int = 0) -> "SkyrmionPopulation":
+    def at_positions(cls, xy) -> "SkyrmionPopulation":
         """Population with live skyrmions at the given (x, y) pairs."""
         arr = np.atleast_2d(np.asarray(xy, dtype=float))
         n = arr.shape[0]
@@ -76,7 +74,6 @@ class SkyrmionPopulation:
             y=arr[:, 1].copy(),
             alive=np.ones(n, dtype=bool),
             pinned=np.zeros(n, dtype=bool),
-            track_id=track_id,
         )
 
     @property
@@ -94,7 +91,6 @@ class SkyrmionPopulation:
             y=np.concatenate([self.y, np.full(n, float(y))]),
             alive=np.concatenate([self.alive, np.ones(n, dtype=bool)]),
             pinned=np.concatenate([self.pinned, np.zeros(n, dtype=bool)]),
-            track_id=self.track_id,
         )
 
     def to_rows(self, pulse_index: int = 0):
@@ -157,10 +153,8 @@ def notch_position(cal: DeviceCalibration,
 
 
 def advance(pop: SkyrmionPopulation, pulse: PulseTrain,
-            cal: DeviceCalibration, nucleated: int = 0,
-            notch: tuple[float, float] | None = None) -> SkyrmionPopulation:
-    """Apply one forward pulse: move every live skyrmion, then inject
-    ``nucleated`` fresh skyrmions at the notch.
+            cal: DeviceCalibration) -> SkyrmionPopulation:
+    """Apply one forward pulse: move every live skyrmion.
 
     Skyrmions whose deflection carries them to the far track edge, or past
     the end of the track, are annihilated.  Forward motion releases any
@@ -174,18 +168,33 @@ def advance(pop: SkyrmionPopulation, pulse: PulseTrain,
     x = np.where(pop.alive, pop.x + dx, pop.x)
     y = np.where(pop.alive, pop.y + dy, pop.y)
     survived = pop.alive & (y < cal.track_width) & (x <= cal.track_length)
-    out = SkyrmionPopulation(
+    return SkyrmionPopulation(
         ids=pop.ids,
         x=x,
         y=y,
         alive=survived,
         pinned=np.zeros_like(pop.pinned),
-        track_id=pop.track_id,
     )
-    if nucleated:
-        nx, ny = notch if notch is not None else notch_position(cal)
-        out = out.spawn(nucleated, nx, ny)
-    return out
+
+
+def trajectory(sites, pulse: PulseTrain, cal: DeviceCalibration,
+               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, alive), each (n, len(sites)): row k is the state after k
+    forward pulses of a skyrmion started live at each (x, y) site.
+
+    Rows are running sums, so live rows equal k ``advance`` steps bit for
+    bit.  ``pulse.count`` is not read.
+    """
+    if pulse.polarity != FORWARD:
+        raise ValueError("trajectory requires a forward pulse")
+    steps = np.empty((n, len(sites), 2))
+    if n:
+        steps[0] = sites
+        steps[1:] = step_displacement(cal, pulse)
+    x, y = np.moveaxis(np.cumsum(steps, axis=0), 2, 0)
+    on_track = (y < cal.track_width) & (x <= cal.track_length)
+    on_track[:1] = True
+    return x, y, np.logical_and.accumulate(on_track, axis=0)
 
 
 def reverse_erase(pop: SkyrmionPopulation, pulses: PulseTrain,
@@ -228,12 +237,12 @@ def reverse_erase(pop: SkyrmionPopulation, pulses: PulseTrain,
             y_new[idx] = ny
         x, y = x_new, y_new
     return SkyrmionPopulation(ids=pop.ids, x=x, y=y, alive=alive,
-                              pinned=pinned, track_id=pop.track_id)
+                              pinned=pinned)
 
 
 def field_reset(pop: SkyrmionPopulation) -> SkyrmionPopulation:
     """Saturating out-of-plane field: every skyrmion is erased."""
-    return SkyrmionPopulation.empty(pop.track_id)
+    return SkyrmionPopulation.empty()
 
 
 def count_in_zone(pop: SkyrmionPopulation, zone: DetectionZone) -> int:

@@ -57,7 +57,7 @@ def replay_track(config, cal, track, pulse, births):
     pulse, then each column's births are spawned at its site."""
     zones = config.zones[track]
     single = PulseTrain(1, pulse.current_density, pulse.duration)
-    pop = SkyrmionPopulation.empty(track_id=track)
+    pop = SkyrmionPopulation.empty()
     for k in range(pulse.count):
         pop = advance(pop, single, cal)
         for j, zone in enumerate(zones):

@@ -40,6 +40,11 @@ class TestCalibration:
         with pytest.raises(ValueError):
             DeviceCalibration(notch_depth_fraction=1.5)
 
+    def test_non_positive_velocity_rejected(self):
+        for points in (((150, -5), (200, 30)), ((150, 0), (200, 30))):
+            with pytest.raises(ValueError, match="positive velocities"):
+                DeviceCalibration(velocity_points=points)
+
     def test_dict_round_trip(self, cal):
         assert DeviceCalibration.from_dict(cal.to_dict()) == cal
 

@@ -97,13 +97,22 @@ class TestSpecValidation:
         ("nucleation_sweep", {"duration": -5.0}, "nucleation_sweep.duration"),
         ("montecarlo_sigma", {"n_pulses": [2.5]},
          "montecarlo_sigma.n_pulses"),
+        ("detection_run", {"current_density": 151.0, "calibration": {
+            "overrides": {"velocity_points": [[150, -5], [200, 30]]}}},
+         "calibration.overrides"),
+        ("detection_run", {"current_density": 250},
+         "detection_run.current_density"),
+        ("fig4_twotrack", {"current_density": 210},
+         "fig4_twotrack.current_density"),
     ])
     def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
                                           params, path):
+        # A row's "calibration" entry is the document's calibration block.
+        params = dict(params)
         spec = tmp_path / "bad.yaml"
         spec.write_text(yaml.safe_dump({
             "name": "bad", "protocol": protocol, "output_dir": str(tmp_path),
-            protocol: params}))
+            "calibration": params.pop("calibration", {}), protocol: params}))
         assert cli.main(["run", str(spec)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert list(tmp_path.iterdir()) == [spec]

@@ -24,7 +24,17 @@ from skysum import (
     mtj_activation,
     mtj_coverage,
     mtj_voltage_from_coverage,
+    paper2024,
+    sample_pulse_count,
     stream,
+)
+from skysum.readout import SequencedTrack, run_phases
+from skysum.transport import (
+    SkyrmionPopulation,
+    advance,
+    apply_capacity,
+    count_in_zone,
+    field_reset,
 )
 
 
@@ -103,6 +113,97 @@ class TestMeasureProtocol:
         with pytest.raises(ValueError):
             MeasurementTrace(index=np.array([1, 2]), phase=("nope",) * 2,
                              delta_v=np.zeros(2), n_detec=np.zeros(2, int))
+
+
+def replay_phases(plan, tracks, cal, meas_rng, noise):
+    """Reference sequencer: each track's skyrmions are advanced, spawned at
+    its notch and crowded as particles, pulse by pulse."""
+    pops = [SkyrmionPopulation.empty() for _ in tracks]
+    in_zone = [0] * len(tracks)
+    counts, volts = [], []
+    for phase, samples, t in plan:
+        if phase == "reset":
+            pops = [field_reset(pop) for pop in pops]
+            in_zone = [0] * len(tracks)
+        for _ in range(samples):
+            if phase == "pulsing":
+                track = tracks[t]
+                born = sample_pulse_count(track.weight, track.stochastic,
+                                          track.rng)
+                single = PulseTrain(1, track.pulse.current_density,
+                                    track.pulse.duration)
+                pop = advance(pops[t], single, cal).spawn(born, *track.notch)
+                if track.enforce_capacity:
+                    pop = apply_capacity(pop, track.zone)
+                pops[t] = pop
+                in_zone[t] = count_in_zone(pop, track.zone)
+            counts.append(sum(in_zone))
+            volts.append(hall_voltage(counts[-1], cal, noise=noise,
+                                      rng=meas_rng))
+    return counts, volts
+
+
+# Each case: per-track (J, weight, p_bar, zone centre x, capacity,
+# enforce_capacity) and a plan.  Notches sit at x = 5 um, so a zone centred
+# beyond 8 um is entered only some pulses after birth; at 171 GA/m^2 a
+# skyrmion leaves a 6 um box after 9 pulses, at 190 GA/m^2 it reaches the
+# far track edge after 16.
+REPLAY_CASES = {
+    "two-tracks": (
+        [(171.0, 2.3, 0.4, 8.0, 81, True), (150.0, 0.7, 0.4, 18.0, 81, True)],
+        [("baseline", 3, None), ("pulsing", 25, 0), ("hold", 4, None),
+         ("pulsing", 30, 1), ("pulsing", 10, 0), ("hold", 2, None),
+         ("reset", 1, None), ("post", 3, None)]),
+    "mid-reset": (
+        [(160.0, 1.5, 0.6, 8.0, 6, True)],
+        [("baseline", 2, None), ("pulsing", 20, 0), ("reset", 1, None),
+         ("pulsing", 30, 0), ("post", 2, None)]),
+    "capacity-bound": (
+        [(171.0, 3.2, 0.8, 14.0, 5, True), (150.0, 2.9, 0.2, 8.0, 7, True)],
+        [("pulsing", 40, 0), ("pulsing", 40, 1), ("hold", 2, None),
+         ("pulsing", 15, 0)]),
+    "lossy": (
+        [(190.0, 2.6, 0.4, 20.0, 4, True), (190.0, 2.6, 0.4, 20.0, 4, False)],
+        [("pulsing", 30, 0), ("pulsing", 30, 1), ("post", 2, None)]),
+}
+
+
+def replay_tracks(seed, specs):
+    return [SequencedTrack(
+        zone=DetectionZone(center_x=cx, center_y=3.0, capacity=capacity),
+        notch=(5.0, 1.02), weight=w, pulse=PulseTrain(1, j, 50.0),
+        stochastic=StochasticModel(p_bar), rng=stream(seed, "replay", t),
+        enforce_capacity=enforce)
+        for t, (j, w, p_bar, cx, capacity, enforce) in enumerate(specs)]
+
+
+class TestCohortSequencer:
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_particle_replay(self, case, seed):
+        cal = paper2024()
+        specs, plan = REPLAY_CASES[case]
+        ref_counts, ref_volts = replay_phases(
+            plan, replay_tracks(seed, specs), cal, stream(seed, "meas"),
+            noise=True)
+        trace = run_phases(plan, replay_tracks(seed, specs), cal,
+                           meas_rng=stream(seed, "meas"), noise=True)
+        assert trace.n_detec.tolist() == ref_counts
+        assert trace.delta_v.tolist() == ref_volts
+
+    def test_shared_stream_matches_particle_replay(self):
+        # measure_protocol draws births and measurement noise from one
+        # stream, so the draws interleave.
+        cal = paper2024()
+        specs, plan = REPLAY_CASES["mid-reset"]
+        tracks = replay_tracks(5, specs)
+        ref_counts, ref_volts = replay_phases(plan, tracks, cal,
+                                              tracks[0].rng, noise=True)
+        tracks = replay_tracks(5, specs)
+        trace = run_phases(plan, tracks, cal, meas_rng=tracks[0].rng,
+                           noise=True)
+        assert trace.n_detec.tolist() == ref_counts
+        assert trace.delta_v.tolist() == ref_volts
 
 
 class TestDriftCorrect:

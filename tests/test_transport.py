@@ -17,6 +17,7 @@ from skysum import (
     notch_position,
     reverse_erase,
     stream,
+    trajectory,
     zone_within_track,
 )
 
@@ -82,8 +83,8 @@ class TestAdvance:
         assert out.n_alive == 0
 
     def test_nucleation_enters_at_notch(self):
-        pop = advance(SkyrmionPopulation.empty(), STEP, KCAL, nucleated=2)
         nx, ny = notch_position(KCAL)
+        pop = advance(SkyrmionPopulation.empty(), STEP, KCAL).spawn(2, nx, ny)
         assert pop.n_alive == 2
         assert np.all(pop.x == nx) and np.all(pop.y == ny)
 
@@ -103,6 +104,33 @@ class TestAdvance:
         pop = SkyrmionPopulation.at_positions([(10.0, 2.0)])
         with pytest.raises(ExtrapolationError):
             advance(pop, PulseTrain(1, 100.0, 50.0), KCAL)
+
+
+class TestTrajectory:
+    def test_rows_equal_advance_steps(self):
+        # The second site reaches the far edge after 6 pulses, the third
+        # passes the track end after 7.
+        sites = [(5.0, 1.02), (10.0, 5.2), (37.0, 2.0), (20.0, 3.0)]
+        x, y, alive = trajectory(sites, PulseTrain(40, 150.0, 50.0), KCAL, 12)
+        pop = SkyrmionPopulation.at_positions(sites)
+        for k in range(12):
+            assert np.array_equal(alive[k], pop.alive)
+            assert np.array_equal(x[k][pop.alive], pop.x[pop.alive])
+            assert np.array_equal(y[k][pop.alive], pop.y[pop.alive])
+            pop = advance(pop, STEP, KCAL)
+        assert alive[-1].tolist() == [True, False, False, True]
+
+    def test_reverse_pulse_refused(self):
+        with pytest.raises(ValueError):
+            trajectory([(5.0, 1.0)], PulseTrain(1, 150.0, 50.0,
+                                                polarity="reverse"), KCAL, 3)
+
+    def test_velocity_law_read_only_for_pulses(self):
+        outside = PulseTrain(1, 100.0, 50.0)
+        x, _, _ = trajectory([(5.0, 1.0)], outside, KCAL, 0)
+        assert x.shape == (0, 1)
+        with pytest.raises(ExtrapolationError):
+            trajectory([(5.0, 1.0)], outside, KCAL, 1)
 
 
 class TestReverseErase:
@@ -225,7 +253,7 @@ class TestApplyCapacity:
         pop = SkyrmionPopulation.empty()
         counts = []
         for _ in range(15):
-            pop = advance(pop, STEP, KCAL, nucleated=1)
+            pop = advance(pop, STEP, KCAL).spawn(1, *notch_position(KCAL))
             pop = apply_capacity(pop, zone)
             counts.append(count_in_zone(pop, zone))
         saturated = counts.index(10)
