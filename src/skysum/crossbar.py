@@ -21,12 +21,7 @@ from .device import (
     PulseTrain,
 )
 from .errors import ProtocolError
-from .nucleation import (
-    MC_BLOCK,
-    StochasticModel,
-    sample_pulse_counts,
-    sample_pulse_sums,
-)
+from .nucleation import MC_BLOCK, StochasticModel, sample_pulse_sums
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     MeasurementTrace,
@@ -38,10 +33,8 @@ from .readout import (
 )
 from .rng import stream
 from .transport import (
+    CAPACITY_DISPLACEMENT_UM,
     DetectionZone,
-    SkyrmionPopulation,
-    apply_capacity,
-    count_in_zone,
     default_capacity,
     trajectory,
     zone_within_track,
@@ -169,15 +162,42 @@ def build_crossbar(cal: DeviceCalibration, weights, *,
     )
 
 
-def expected_sums(config: CrossbarConfig, input_vector: InputVector) -> np.ndarray:
-    """Deterministic expectation per column: sum_i w_ij N_pulse_i."""
+def _pulse_counts(config: CrossbarConfig,
+                  input_vector: InputVector) -> np.ndarray:
+    """Pulses per track, refusing an input of the wrong length."""
     if len(input_vector) != config.m_tracks:
         raise ValueError(
             f"input length {len(input_vector)} does not match "
             f"{config.m_tracks} tracks")
-    counts = np.array([p.count for p in input_vector.pulses_per_track],
-                      dtype=float)
-    return counts @ config.weights
+    return np.array([p.count for p in input_vector.pulses_per_track],
+                    dtype=np.int64)
+
+
+def expected_sums(config: CrossbarConfig, input_vector: InputVector) -> np.ndarray:
+    """Deterministic expectation per column: sum_i w_ij N_pulse_i."""
+    return _pulse_counts(config, input_vector) @ config.weights
+
+
+def _draw_columns(config: CrossbarConfig, track: int, windows: np.ndarray,
+                  stochastic: StochasticModel, rng: np.random.Generator,
+                  size: int) -> np.ndarray:
+    """(size, L) in-zone counts of one track from its windows.
+
+    ``windows[s, j]`` pulses of site s leave their skyrmion in zone j, so
+    each window adds an exact sum of that many pulses at weight ``w_s`` to
+    column j.  A window of zero pulses or zero weight draws nothing.  Each
+    crossing is clamped at its zone's capacity when the config enforces it.
+    """
+    weights = config.weights[track]
+    counts = np.zeros((size, config.l_columns), dtype=np.int64)
+    for s, j in zip(*np.nonzero(windows)):
+        if weights[s]:
+            counts[:, j] += sample_pulse_sums(weights[s], stochastic, rng,
+                                              windows[s, j], size)
+    if config.enforce_capacity:
+        np.minimum(counts, [z.capacity for z in config.zones[track]],
+                   out=counts)
+    return counts
 
 
 def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
@@ -186,34 +206,25 @@ def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
                           rng: np.random.Generator) -> np.ndarray:
     """In-zone counts per column after running one track's pulse train.
 
-    Each column's births are drawn in one call.  Every pulse moves every
-    skyrmion by the same step, so a skyrmion's state depends only on its
-    birth site and its age: the cohort born on pulse k takes the state its
-    site's ``trajectory`` reaches after the N-1-k pulses that follow.  Ids
-    follow birth order (pulse-major, column-minor), so crowding displaces
-    the latest arrivals first.
+    Every pulse moves every skyrmion by the same step, so the skyrmion born
+    at site s on the k-th of N pulses ends where its site's ``trajectory``
+    is after N-1-k pulses.  Counting those ages per zone gives the windows
+    that ``_draw_columns`` samples.  A skyrmion crowded out of a full zone
+    is parked ``CAPACITY_DISPLACEMENT_UM`` past it, so the zones must be
+    further apart than that for the clamp to be exact.
     """
-    n, l = pulse.count, config.l_columns
-    births = np.empty((n, l), dtype=np.int64)
-    for j, w in enumerate(config.weights[track]):
-        births[:, j] = sample_pulse_counts(w, stochastic, rng, (n,))
     zones_row = config.zones[track]
+    edges = sorted(zone.bounds[:2] for zone in zones_row)
+    if any(b[0] - a[1] <= CAPACITY_DISPLACEMENT_UM
+           for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"zones of track {track} overlap or lie within "
+                         f"{CAPACITY_DISPLACEMENT_UM} um of each other")
     sites = np.column_stack([[zone.bounds[0] for zone in zones_row],
-                             np.full(l, cal.notch_y)])
-    x, y, alive = (a[::-1] for a in trajectory(sites, pulse, cal, n))
-    per_cohort = births.ravel()
-    total = int(per_cohort.sum())
-    pop = SkyrmionPopulation(
-        ids=np.arange(total, dtype=np.int64),
-        x=np.repeat(x.ravel(), per_cohort),
-        y=np.repeat(y.ravel(), per_cohort),
-        alive=np.repeat(alive.ravel(), per_cohort),
-        pinned=np.zeros(total, dtype=bool))
-    if config.enforce_capacity:
-        for zone in zones_row:
-            pop = apply_capacity(pop, zone)
-    return np.array([count_in_zone(pop, zone) for zone in zones_row],
-                    dtype=np.int64)
+                             np.full(len(zones_row), cal.notch_y)])
+    x, y, alive = trajectory(sites, pulse, cal, pulse.count)
+    windows = np.column_stack([(alive & zone.contains(x, y)).sum(axis=0)
+                               for zone in zones_row])
+    return _draw_columns(config, track, windows, stochastic, rng, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -270,26 +281,19 @@ def monte_carlo_column_counts(config: CrossbarConfig, input_vector: InputVector,
     """(trials, L) matrix of summed column counts under ideal transport:
     every nucleated skyrmion reaches its own zone and stays there.
 
-    This is the transport-free counterpart of ``run_weighted_sum``, which
-    moves skyrmions and so loses those that leave their zone.  Each
-    crossing's per-trial total is drawn exactly by ``sample_pulse_sums``
-    from its own stream; capacity is applied per crossing when the config
-    enforces it, and zone geometry is not read.  A crossing with zero
-    weight or zero pulses contributes nothing and draws no stream.
+    This is the transport-free counterpart of ``run_weighted_sum``: the
+    same sampler on the same per-track streams, with the ideal windows
+    (all N pulses of site j land in zone j).  Capacity is applied per
+    crossing when the config enforces it; zone geometry is not read.
     """
-    m, l = config.m_tracks, config.l_columns
-    totals = np.zeros((trials, l), dtype=np.int64)
-    for i in range(m):
-        n_pulses = input_vector.pulses_per_track[i].count
-        for j in range(l):
-            w = config.weights[i, j]
-            if w == 0 or n_pulses == 0:
-                continue
-            g = stream(seed, "mc", i, j)
-            counts = sample_pulse_sums(w, stochastic, g, n_pulses, trials)
-            if config.enforce_capacity:
-                np.minimum(counts, config.zones[i][j].capacity, out=counts)
-            totals[:, j] += counts
+    pulses = _pulse_counts(config, input_vector)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    ideal = np.eye(config.l_columns, dtype=np.int64)
+    totals = np.zeros((trials, config.l_columns), dtype=np.int64)
+    for i, n in enumerate(pulses):
+        totals += _draw_columns(config, i, n * ideal, stochastic,
+                                stream(seed, "track", i), trials)
     return totals
 
 

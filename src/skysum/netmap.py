@@ -158,11 +158,11 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
 
     Expected mode evaluates f(sum w+ x) - f(sum w- x) per differential
     pair; with the identity readout this is exactly the quantised
-    matrix-vector product.  Stochastic mode draws each crossing's pulse
-    total with ``monte_carlo_column_counts``, i.e. every nucleated skyrmion
-    reaches its zone (no transport loss, capacity applied per crossing),
-    and returns one row per trial (shape (trials, L); a single trial
-    returns shape (L,)).
+    matrix-vector product.  Stochastic mode draws the column counts with
+    ``monte_carlo_column_counts``: the crossbar's window sampler under
+    ideal transport (every nucleated skyrmion reaches its zone, capacity
+    applied per crossing), one random stream per track.  It returns one
+    row per trial (shape (trials, L); a single trial returns shape (L,)).
     """
     x = np.asarray(input_vector, dtype=np.int64)
     m, l = layer.shape
@@ -183,16 +183,11 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
     if stochastic is None:
         raise ValueError("stochastic mode needs a StochasticModel")
 
-    # Differential pairs as a 2L-column crossbar.  Its counts come from
-    # monte_carlo_column_counts, which only reads each zone's capacity, so
-    # every zone may sit on the same site.
+    # Differential pairs as a 2L-column crossbar.  Ideal transport reads
+    # no zone geometry, so every zone may sit on the same site.
     weights = np.concatenate([layer.w_pos, layer.w_neg], axis=1)
-    config = build_crossbar(
-        cal, weights,
-        zone_pitch=0.0, zone_start_x=5.0,
-        enforce_capacity=capacity is not None,
-        capacity=capacity if capacity is not None else 1,
-    )
+    config = build_crossbar(cal, weights, zone_pitch=0.0, capacity=capacity,
+                            enforce_capacity=capacity is not None)
     pulses = InputVector(tuple(
         PulseTrain(int(n), cal.current_ref, cal.duration_ref) for n in x))
     counts = monte_carlo_column_counts(config, pulses, stochastic,

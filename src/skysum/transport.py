@@ -136,8 +136,8 @@ class DetectionZone:
 
 
 def default_capacity(side_um: float, diameter_nm: float) -> int:
-    """Crowding limit from a 3-diameter spacing heuristic."""
-    return int(math.floor((side_um / (3.0 * diameter_nm * 1e-3)) ** 2))
+    """Crowding limit from a 3-diameter spacing heuristic; at least one."""
+    return max(1, int(math.floor((side_um / (3.0 * diameter_nm * 1e-3)) ** 2)))
 
 
 def zone_within_track(zone: DetectionZone, cal: DeviceCalibration) -> bool:

@@ -20,7 +20,6 @@ from skysum import (
     paper2024,
     run_fig4_protocol,
     run_weighted_sum,
-    sample_pulse_counts,
     stream,
 )
 from skysum.crossbar import simulate_track_counts
@@ -30,6 +29,8 @@ from skysum.transport import (
     apply_capacity,
     count_in_zone,
 )
+
+from laws import assert_follows, sum_pmf
 
 J4 = 116.0  # two-track operating density; v = 1.64 m/s keeps spans short
 T4 = 50.0
@@ -42,14 +43,6 @@ def two_track(cal4, w=(1.0, 1.0), **kwargs):
 def inputs(n1, n2, duration=(T4, T4)):
     return InputVector((PulseTrain(n1, J4, duration[0]),
                         PulseTrain(n2, J4, duration[1])))
-
-
-def track_births(config, track, n_pulses, model, seed):
-    """(N, L) births of one track, drawn as ``simulate_track_counts``
-    draws them: one call per column on the track's stream."""
-    rng = stream(seed, "track", track)
-    return np.stack([sample_pulse_counts(w, model, rng, (n_pulses,))
-                     for w in config.weights[track]], axis=1)
 
 
 def replay_track(config, cal, track, pulse, births):
@@ -66,6 +59,23 @@ def replay_track(config, cal, track, pulse, births):
         for zone in zones:
             pop = apply_capacity(pop, zone)
     return np.array([count_in_zone(pop, zone) for zone in zones])
+
+
+def steady_births(config, track, pulse):
+    """(N, L) births of one track when every pulse nucleates exactly its
+    site's weight (integer weights, p_bar = 0)."""
+    return np.tile(config.weights[track].astype(int), (pulse.count, 1))
+
+
+def reference_windows(config, cal, track, pulse):
+    """(L, L) windows of one track from the particle reference: row s
+    counts, per zone, the pulses whose skyrmion born at site s ends there."""
+    free = dataclasses.replace(config, enforce_capacity=False)
+    one_site = np.eye(config.l_columns, dtype=int)
+    return np.array([
+        replay_track(free, cal, track, pulse,
+                     np.tile(one_site[s], (pulse.count, 1)))
+        for s in range(config.l_columns)])
 
 
 class TestConfig:
@@ -165,15 +175,16 @@ class TestRunWeightedSum:
                                cal4, seed=0)
         assert res.n_detec[0] == 50  # 25 per crossing
 
-    def test_lossless_kinematic_counts_equal_births(self, cal4):
+    def test_lossless_kinematic_equals_ideal(self, cal4):
         # At J4, 15 pulses move a skyrmion 1.2 um: every one stays in the
-        # zone it was born at, so each crossing counts its own births.
+        # zone it was born at, so the windows are the ideal ones and both
+        # count paths draw the same sums from the same per-track streams.
         cfg = build_crossbar(cal4, [[1.0, 2.5], [1.5, 0.5]])
         model = StochasticModel(0.3)
         res = run_weighted_sum(cfg, inputs(15, 15), model, cal4, seed=4)
-        births = np.array([track_births(cfg, i, 15, model, 4).sum(axis=0)
-                           for i in range(2)])
-        assert np.array_equal(res.per_track, births)
+        ideal = monte_carlo_column_counts(cfg, inputs(15, 15), model,
+                                          trials=1, seed=4)
+        assert np.array_equal(res.n_detec, ideal[0])
 
     def test_noisy_column_is_read_once(self, cal4):
         # Sixteen empty tracks: the column output is one measurement, so
@@ -205,31 +216,66 @@ def _crowded(cal4):
                                 capacity=5), PulseTrain(15, J4, T4)
 
 
-class TestCohortPlacement:
-    """Placing each cohort by its age reproduces per-pulse transport."""
+def _lossy_crowded(cal4):
+    cal, cfg, pulse = _lossy(cal4)
+    zones = [[dataclasses.replace(z, capacity=20) for z in row]
+             for row in cfg.zones]
+    return cal, dataclasses.replace(cfg, zones=zones), pulse
 
-    @pytest.mark.parametrize("make", [_lossless, _lossy, _crowded],
-                             ids=["lossless", "lossy", "capacity"])
+
+LAYOUTS = pytest.mark.parametrize(
+    "make", [_lossless, _lossy, _crowded, _lossy_crowded],
+    ids=["lossless", "lossy", "capacity", "lossy-capacity"])
+
+
+class TestCohortPlacement:
+    """Exact pulse sums over transport windows reproduce per-pulse
+    transport."""
+
+    @LAYOUTS
     def test_matches_per_pulse_replay(self, cal4, make):
+        # Integer weights (some 0) at p_bar = 0: every pulse nucleates
+        # exactly w_ij, so the particle reference needs no random stream.
+        cal, cfg, pulse = make(cal4)
+        cfg = dataclasses.replace(cfg, weights=np.floor(1.5 * cfg.weights))
+        res = run_weighted_sum(cfg, InputVector((pulse,) * cfg.m_tracks),
+                               StochasticModel(0.0), cal, seed=11)
+        ref = np.array([
+            replay_track(cfg, cal, i, pulse, steady_births(cfg, i, pulse))
+            for i in range(cfg.m_tracks)])
+        assert np.array_equal(res.per_track, ref)
+
+    @pytest.mark.parametrize("make", [_lossy, _lossy_crowded],
+                             ids=["lossy", "lossy-capacity"])
+    def test_counts_follow_window_law(self, cal4, make):
+        # Each crossing's count is the sum over sites s of an exact
+        # K[s, j]-pulse sum at weight w_is, clamped at the zone capacity.
         cal, cfg, pulse = make(cal4)
         model = StochasticModel(0.4)
         iv = InputVector((pulse,) * cfg.m_tracks)
-        res = run_weighted_sum(cfg, iv, model, cal, seed=11)
-        ref = np.array([
-            replay_track(cfg, cal, i, pulse,
-                         track_births(cfg, i, pulse.count, model, 11))
-            for i in range(cfg.m_tracks)])
-        assert np.array_equal(res.per_track, ref)
+        counts = np.array([run_weighted_sum(cfg, iv, model, cal,
+                                            seed=s).per_track
+                           for s in range(300)])
+        for i in range(cfg.m_tracks):
+            windows = reference_windows(cfg, cal, i, pulse)
+            for j, zone in enumerate(cfg.zones[i]):
+                pmf = np.ones(1)
+                for s, k in enumerate(windows[:, j]):
+                    pmf = np.convolve(pmf, sum_pmf(cfg.weights[i, s],
+                                                   model, k))
+                if cfg.enforce_capacity and pmf.size > zone.capacity + 1:
+                    pmf[zone.capacity] = pmf[zone.capacity:].sum()
+                    pmf = pmf[:zone.capacity + 1]
+                assert_follows(counts[:, i, j], pmf)
 
     def test_lossy_case_loses_and_gains(self, cal4):
         # The lossy case is not lossless in disguise: some crossings count
         # fewer than their births (exits), some more (upstream arrivals).
         cal, cfg, pulse = _lossy(cal4)
-        model = StochasticModel(0.4)
+        cfg = dataclasses.replace(cfg, weights=np.floor(1.5 * cfg.weights))
         res = run_weighted_sum(cfg, InputVector((pulse,) * cfg.m_tracks),
-                               model, cal, seed=11)
-        births = np.array([track_births(cfg, i, pulse.count, model, 11)
-                           .sum(axis=0) for i in range(cfg.m_tracks)])
+                               StochasticModel(0.0), cal, seed=11)
+        births = pulse.count * cfg.weights
         assert np.any(res.per_track < births)
         assert np.any(res.per_track > births)
         assert res.per_track.sum() < births.sum()
@@ -245,6 +291,20 @@ class TestCohortPlacement:
         counts = simulate_track_counts(cfg, cal4, 0, PulseTrain(0, J4, T4),
                                        StochasticModel(0.4), stream(0))
         assert counts.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("pitch", [3.0, 6.0, 6.0005])
+    def test_zones_too_close_rejected_before_drawing(self, cal4, pitch):
+        # 6 um zones: overlapping, touching, or so close that a skyrmion
+        # crowded out of one zone would be parked inside the next.
+        cfg = build_crossbar(cal4, [[1.0, 1.0]], zone_pitch=pitch)
+        rng = stream(0)
+        with pytest.raises(ValueError, match="zones of track 0"):
+            simulate_track_counts(cfg, cal4, 0, PulseTrain(5, J4, T4),
+                                  StochasticModel(0.4), rng)
+        assert rng.random() == stream(0).random()
+        with pytest.raises(ValueError):
+            run_weighted_sum(cfg, InputVector((PulseTrain(5, J4, T4),)),
+                             StochasticModel(0.4), cal4)
 
 
 class TestMonteCarlo:
@@ -263,6 +323,19 @@ class TestMonteCarlo:
         got = monte_carlo_sum_relative_std(10, 20, model, 20_000, seed=6)
         want = analytic_sigma(model, 20) / np.sqrt(10)
         assert got == pytest.approx(want, rel=0.05)
+
+    def test_input_length_must_match_tracks(self, cal4):
+        cfg = two_track(cal4)
+        iv = InputVector((PulseTrain(3, J4, T4),) * 3)
+        with pytest.raises(ValueError, match="does not match"):
+            monte_carlo_column_counts(cfg, iv, StochasticModel(0.4),
+                                      trials=10, seed=0)
+
+    def test_needs_a_trial(self, cal4):
+        cfg = two_track(cal4)
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_column_counts(cfg, inputs(3, 3), StochasticModel(0.4),
+                                      trials=0, seed=0)
 
 
 class TestUniformity:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,6 +132,30 @@ class TestInfer:
         layer = quantize(np.eye(2), states=15)
         with pytest.raises(ValueError):
             infer(layer, [1, 1], mode="stochastic")
+
+    def test_stochastic_needs_a_trial(self):
+        layer = quantize(np.eye(2), states=15)
+        with pytest.raises(ValueError, match="trials"):
+            infer(layer, [1, 1], mode="stochastic",
+                  stochastic=StochasticModel(0.4), trials=0)
+
+    def test_stochastic_capacity(self):
+        # At p_bar = 0 the identity layer nucleates 3.42 sk/pulse, so 10
+        # pulses make 34 or 35 skyrmions and a capacity of 20 binds.
+        layer = quantize(np.eye(2), states=15)
+        out = infer(layer, [10, 0], mode="stochastic",
+                    stochastic=StochasticModel(0.0), trials=5, capacity=20)
+        assert np.all(out[:, 0] == 20 * layer.scale)
+        assert np.all(out[:, 1] == 0)
+
+    def test_stochastic_without_capacity_ignores_zone_size(self, cal):
+        # A 3 um skyrmion leaves a 6 um zone no room at 3-diameter
+        # spacing; with capacity off the zone size must not matter.
+        big = dataclasses.replace(cal, skyrmion_diameter=3000.0)
+        layer = quantize(np.eye(2), states=15, cal=big)
+        out = infer(layer, [2, 1], mode="stochastic", cal=big,
+                    stochastic=StochasticModel(0.0), trials=3)
+        assert out.shape == (3, 2)
 
     def test_mac_error_bounded_by_sigma_law(self):
         # Relative spread of the stochastic MAC stays within the analytic

@@ -230,6 +230,9 @@ class TestDetectionZone:
 
     def test_default_capacity_heuristic(self):
         assert default_capacity(6.0, 222.0) == 81
+        # A zone holds at least one skyrmion, so the default is always a
+        # valid capacity.
+        assert default_capacity(6.0, 3000.0) == 1
 
 
 class TestApplyCapacity:
