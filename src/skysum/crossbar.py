@@ -129,31 +129,29 @@ def build_crossbar(cal: DeviceCalibration, weights, *,
 
     Column j's zone starts at ``zone_start_x + j * zone_pitch`` (its left
     edge doubles as the nucleation site) and is centred on the track.
+    Every track has the same row, so one row of frozen zones is laid out
+    and shared.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     m, l = w.shape
     if capacity is None:
         capacity = default_capacity(zone_side, cal.skyrmion_diameter)
-    zones = []
-    for _ in range(m):
-        row = []
-        for j in range(l):
-            zone = DetectionZone(
-                center_x=zone_start_x + j * zone_pitch + zone_side / 2.0,
-                center_y=cal.track_width / 2.0,
-                side=zone_side,
-                capacity=capacity,
-            )
-            if not zone_within_track(zone, cal):
-                raise ValueError(
-                    f"zone for column {j} falls outside the track")
-            row.append(zone)
-        zones.append(tuple(row))
+    row = []
+    for j in range(l):
+        zone = DetectionZone(
+            center_x=zone_start_x + j * zone_pitch + zone_side / 2.0,
+            center_y=cal.track_width / 2.0,
+            side=zone_side,
+            capacity=capacity,
+        )
+        if not zone_within_track(zone, cal):
+            raise ValueError(f"zone for column {j} falls outside the track")
+        row.append(zone)
     if track_resistances is None:
         track_resistances = (130.0, 120.0) if m == 2 else (125.0,) * m
     return CrossbarConfig(
         weights=w,
-        zones=tuple(zones),
+        zones=(tuple(row),) * m,
         track_resistances=track_resistances,
         series_resistance=series_resistance,
         readout_mode=readout_mode,

@@ -158,7 +158,8 @@ def run_nucleation_sweep(cal: DeviceCalibration, params: dict, seed: int,
     else:
         raise ValidationError(p + "values",
                               "required for current/duration sweeps")
-    pulses = get_int(params, "pulses", p, default=20, minimum=1)
+    # Each repeat fits a line through pulses + 1 points; the fit needs 3.
+    pulses = get_int(params, "pulses", p, default=20, minimum=2)
     repeats = get_int(params, "repeats", p, default=100, minimum=1)
     p_bar = get_float(params, "p_bar", p, default=0.4, minimum=0.0,
                       maximum=1.0)

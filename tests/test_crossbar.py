@@ -96,6 +96,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             two_track(cal4, readout_mode="mtj")
 
+    def test_zone_outside_track_rejected(self, cal4):
+        # Column 1's zone starts at the far end of the track.
+        with pytest.raises(ValueError, match="column 1 falls outside"):
+            build_crossbar(cal4, [[1.0, 1.0], [1.0, 1.0]],
+                           zone_pitch=cal4.track_length - 5.0)
+
     def test_zone_grid_mismatch(self, cal4, zone):
         with pytest.raises(ValueError):
             CrossbarConfig(weights=[[1.0], [1.0]], zones=((zone,),),

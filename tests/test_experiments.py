@@ -104,6 +104,7 @@ class TestSpecValidation:
          "detection_run.current_density"),
         ("fig4_twotrack", {"current_density": 210},
          "fig4_twotrack.current_density"),
+        ("nucleation_sweep", {"pulses": 1}, "nucleation_sweep.pulses"),
     ])
     def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
                                           params, path):

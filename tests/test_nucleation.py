@@ -16,9 +16,11 @@ from skysum import (
     estimate_pbar_from_trace,
     expected_cumulative,
     fit_weight,
+    infer,
     monte_carlo_sigma,
     paper2024,
     pulse_distribution,
+    quantize,
     sample_pulse_count,
     sample_pulse_counts,
     sample_pulse_sums,
@@ -26,6 +28,7 @@ from skysum import (
     stream,
 )
 from skysum.crossbar import monte_carlo_column_counts
+from skysum.nucleation import MC_BLOCK, _sum_cdf
 
 from laws import assert_follows, sum_pmf
 
@@ -126,6 +129,92 @@ class TestPulseLaw:
         sums = sample_pulse_sums(w, model, stream(0, "sum-law", key),
                                  n_pulses, LAW_DRAWS)
         assert_follows(sums, sum_pmf(w, model, n_pulses))
+
+
+def table_length(w, model, n_pulses):
+    """Support length of the n-pulse sum: the batch size from which
+    ``sample_pulse_sums`` draws from the cached table."""
+    values, _ = pulse_distribution(w, model)
+    return int(values[-1] - values[0]) * n_pulses + 1
+
+
+class TestSumKernels:
+    @pytest.mark.parametrize("w, p_bar, n_pulses", [
+        (w, p_bar, n) for w in (0.0, 0.25, 1.0, 2.3)
+        for p_bar in (0.0, 0.4, 1.0) for n in (0, 1, 40)
+    ] + [(2.3, 0.4, 1000)])
+    @pytest.mark.parametrize("below", [True, False],
+                             ids=["multinomial", "table"])
+    def test_kernel_follows_the_law(self, w, p_bar, n_pulses, below):
+        # Batches one below the table length take the multinomial, batches
+        # at it the table; either way the totals follow the exact law.
+        model = StochasticModel(p_bar)
+        size = table_length(w, model, n_pulses) - below
+        g = stream(0, "kernel", repr((w, p_bar, n_pulses, below)))
+        before = _sum_cdf.cache_info()
+        n_batches = min(-(-LAW_DRAWS // max(size, 1)), 1000)
+        batches = [sample_pulse_sums(w, model, g, n_pulses, size)
+                   for _ in range(n_batches)]
+        after = _sum_cdf.cache_info()
+        used_table = after.hits + after.misses > before.hits + before.misses
+        assert used_table == (not below)
+        sums = np.concatenate(batches)
+        assert sums.shape == (size * len(batches),)
+        if size:
+            assert_follows(sums, sum_pmf(w, model, n_pulses))
+
+    def test_cold_cache_draws_equal_warm(self):
+        model = StochasticModel(0.4)
+        layer = quantize(stream(0, "layer").uniform(-1, 1, (6, 3)))
+        x = np.arange(1, 7) * 5
+
+        def draw():
+            return (sample_pulse_sums(2.3, model, stream(0, "c"), 40, 4096),
+                    infer(layer, x, mode="stochastic", stochastic=model,
+                          seed=3, trials=1000))
+
+        _sum_cdf.cache_clear()
+        cold = draw()
+        built = _sum_cdf.cache_info().misses
+        warm = draw()
+        assert built > 0 and _sum_cdf.cache_info().misses == built
+        for a, b in zip(cold, warm):
+            np.testing.assert_array_equal(a, b)
+
+    def test_table_is_read_only(self):
+        offset, cdf = _sum_cdf(2.3, 0.4, 10)
+        assert offset == 10 and cdf.size == 31 and cdf[-1] == np.inf
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
+
+    def test_no_table_longer_than_a_block(self):
+        # 3001 pulses at w = 1 have 9004 possible totals, more than
+        # MC_BLOCK: even a longer batch keeps the multinomial, so a cached
+        # table never exceeds MC_BLOCK entries.
+        model = StochasticModel(0.4)
+        assert table_length(1.0, model, 3001) > MC_BLOCK
+        before = _sum_cdf.cache_info()
+        sums = sample_pulse_sums(1.0, model, stream(0, "long"), 3001,
+                                 2 * MC_BLOCK)
+        assert sums.shape == (2 * MC_BLOCK,)
+        assert _sum_cdf.cache_info() == before
+
+    def test_cache_holds_a_quantised_layer(self):
+        # Stochastic inference on a 64 x 16 layer at 15 states with inputs
+        # of up to 40 pulses draws one law per (non-zero level, pulse
+        # count), about 560 of them.  All fit, so a second pass over them
+        # builds no table.
+        model = StochasticModel(0.4)
+        layer = quantize(stream(1, "layer").uniform(-1, 1, (64, 16)))
+        levels = np.unique(np.concatenate([layer.w_pos, layer.w_neg]))
+        laws = [(w, n) for w in levels[levels > 0] for n in range(1, 41)]
+        assert len(laws) >= 500
+        _sum_cdf.cache_clear()
+        for _ in range(2):
+            for w, n in laws:
+                sample_pulse_sums(w, model, stream(0, "ws"), n, 1000)
+        info = _sum_cdf.cache_info()
+        assert info.misses == info.currsize == len(laws)
 
 
 class TestSigma:
