@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -28,42 +29,34 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="calibration preset, e.g. paper2024")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--trials", type=int, default=None,
-                        help="override Monte Carlo trial count")
+                        help="override the trial count (montecarlo_sigma "
+                             "and netsim)")
 
 
-def _finish(spec, args) -> int:
-    spec = spec.with_overrides(seed=args.seed, output_dir=args.out,
-                               preset=args.preset,
-                               trials=getattr(args, "trials", None))
-    run_dir = run_experiment(spec)
-    print(run_dir)
-    return 0
+def _overrides(args) -> dict:
+    return {"seed": args.seed, "output_dir": args.out, "preset": args.preset,
+            "trials": args.trials}
 
 
 def _cmd_run(args) -> int:
-    return _finish(spec_from_file(args.spec), args)
+    print(run_experiment(spec_from_file(args.spec, **_overrides(args))))
+    return 0
 
 
 def _cmd_sweep(args) -> int:
-    doc = load_document(args.spec)
-    for sub in expand_sweep(doc):
-        spec = spec_from_dict(sub).with_overrides(
-            seed=args.seed, output_dir=args.out, preset=args.preset)
+    # Resolve the whole grid before the first run, so a bad grid point
+    # leaves no run directory behind.
+    specs = [spec_from_dict(sub, **_overrides(args))
+             for sub in expand_sweep(load_document(args.spec))]
+    for spec in specs:
         print(run_experiment(spec))
     return 0
 
 
 def _builtin_spec(name: str, protocol: str, args, params: dict) -> int:
     doc = {"name": name, "protocol": protocol, protocol: params}
-    return _finish(spec_from_dict(doc), args)
-
-
-def _cmd_montecarlo(args) -> int:
-    return _builtin_spec("montecarlo", "montecarlo_sigma", args, {})
-
-
-def _cmd_pareto(args) -> int:
-    return _builtin_spec("pareto", "pareto", args, {})
+    print(run_experiment(spec_from_dict(doc, **_overrides(args))))
+    return 0
 
 
 def _cmd_netsim(args) -> int:
@@ -73,8 +66,6 @@ def _cmd_netsim(args) -> int:
         raise ValidationError("input", "expected comma-separated integers")
     params = {"weights": args.weights, "input": inputs,
               "states": args.states}
-    if args.trials is not None:
-        params["trials"] = args.trials
     return _builtin_spec("netsim", "netsim", args, params)
 
 
@@ -117,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("montecarlo", help="sigma fluctuation sweep")
-    _add_common(p)
-    p.set_defaults(func=_cmd_montecarlo)
-
-    p = sub.add_parser("pareto", help="energy/precision tables")
-    _add_common(p)
-    p.set_defaults(func=_cmd_pareto)
+    for name, protocol, text in (
+            ("montecarlo", "montecarlo_sigma", "sigma fluctuation sweep"),
+            ("pareto", "pareto", "energy/precision tables")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(func=functools.partial(_builtin_spec, name, protocol,
+                                              params={}))
 
     p = sub.add_parser("netsim", help="map a weight matrix and run inference")
     p.add_argument("--weights", required=True,

@@ -3,16 +3,19 @@
 An experiment is described by one structured-text document (YAML, or JSON
 since YAML subsumes it): a name, a protocol, a seed, an output directory,
 a calibration (preset name plus optional field overrides) and a block of
-protocol-specific parameters.  Validation errors carry the dotted path of
-the offending field.
+protocol-specific parameters.  One function, ``resolve``, reads every block
+against a table of ``Param`` declarations.  Validation errors carry the
+dotted path of the offending field.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, NamedTuple
 
+import numpy as np
 import yaml
 
 from .device import DeviceCalibration, calibration_preset
@@ -22,7 +25,8 @@ from .errors import ValidationError
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A fully resolved experiment: rerunning it with the same seed must
-    produce byte-identical numeric outputs."""
+    produce byte-identical numeric outputs.  ``params`` holds every
+    protocol parameter, defaults included."""
 
     name: str
     protocol: str
@@ -32,26 +36,19 @@ class ExperimentSpec:
     calibration_source: dict
     params: dict
 
-    def with_overrides(self, seed: int | None = None,
-                       output_dir: str | None = None,
-                       preset: str | None = None,
-                       trials: int | None = None) -> "ExperimentSpec":
-        """Apply command-line overrides on top of a parsed spec."""
-        spec = self
-        if seed is not None:
-            _expect(int(seed) >= 0, "seed", "must be >= 0")
-            spec = replace(spec, seed=int(seed))
-        if output_dir is not None:
-            spec = replace(spec, output_dir=str(output_dir))
-        if preset is not None:
-            cal = calibration_preset(preset)
-            spec = replace(spec, calibration=cal,
-                           calibration_source={"preset": preset})
-        if trials is not None:
-            params = dict(spec.params)
-            params["trials"] = int(trials)
-            spec = replace(spec, params=params)
-        return spec
+
+class Param(NamedTuple):
+    """One parameter: a kind from ``_KINDS``, a non-empty list of one
+    ("ints", "floats", "strs"), or "matrix"; a default (None: required; a
+    callable gets the calibration and the parameters resolved before it);
+    and bounds, which apply to a scalar and to each entry of a list."""
+
+    kind: str
+    default: Any = None
+    minimum: float | None = None
+    maximum: float | None = None
+    positive: bool = False
+    choices: Any = None
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -59,74 +56,100 @@ def _expect(cond: bool, path: str, message: str):
         raise ValidationError(path, message)
 
 
-def get_str(doc: dict, key: str, path: str, default=None) -> str:
-    value = doc.get(key, default)
-    _expect(value is not None, f"{path}{key}", "required field is missing")
-    _expect(isinstance(value, str) and value != "", f"{path}{key}",
-            "expected a non-empty string")
-    return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_range(value: float, where: str, minimum, maximum, positive):
-    if positive:
+_KINDS = {
+    "int": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "mapping": (lambda v: isinstance(v, dict), "a mapping"),
+}
+
+
+def _bounded(param: Param, value, where: str):
+    if param.positive:
         _expect(value > 0, where, "must be > 0")
-    if minimum is not None:
-        _expect(value >= minimum, where, f"must be >= {minimum}")
-    if maximum is not None:
-        _expect(value <= maximum, where, f"must be <= {maximum}")
+    if param.minimum is not None:
+        _expect(value >= param.minimum, where, f"must be >= {param.minimum}")
+    if param.maximum is not None:
+        _expect(value <= param.maximum, where, f"must be <= {param.maximum}")
+    if param.choices is not None:
+        _expect(value in param.choices, where,
+                f"must be one of {list(param.choices)}")
+    return float(value) if param.kind.startswith("float") else value
 
 
-def get_int(doc: dict, key: str, path: str, default=None, minimum=None) -> int:
-    value = doc.get(key, default)
-    _expect(value is not None, f"{path}{key}", "required field is missing")
-    _expect(_is_int(value), f"{path}{key}", "expected an integer")
-    _check_range(value, f"{path}{key}", minimum, None, False)
-    return value
+def _matrix(value, where: str) -> np.ndarray:
+    _expect(isinstance(value, (str, list)), where,
+            "expected an inline matrix or a CSV path")
+    try:
+        if isinstance(value, str):
+            matrix = np.loadtxt(value, delimiter=",", ndmin=2)
+        else:
+            matrix = np.atleast_2d(np.asarray(value, dtype=float))
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValidationError(where, f"expected a numeric matrix: {exc}")
+    _expect(matrix.ndim == 2, where, "expected a 2-D matrix")
+    _expect(bool(np.isfinite(matrix).all()), where, "entries must be finite")
+    return matrix
 
 
-def get_float(doc: dict, key: str, path: str, default=None, minimum=None,
-              maximum=None, positive: bool = False) -> float:
-    value = doc.get(key, default)
-    _expect(value is not None, f"{path}{key}", "required field is missing")
-    _expect(_is_number(value), f"{path}{key}", "expected a number")
-    _check_range(value, f"{path}{key}", minimum, maximum, positive)
-    return float(value)
-
-
-def get_bool(doc: dict, key: str, path: str, default=False) -> bool:
-    value = doc.get(key, default)
-    _expect(isinstance(value, bool), f"{path}{key}", "expected a boolean")
-    return value
-
-
-def get_list(doc: dict, key: str, path: str, default=None) -> list:
-    value = doc.get(key, default)
-    _expect(value is not None, f"{path}{key}", "required field is missing")
-    _expect(isinstance(value, list) and len(value) > 0, f"{path}{key}",
+def _check(param: Param, value, where: str):
+    if param.kind == "matrix":
+        return _matrix(value, where)
+    if param.kind in _KINDS:
+        test, noun = _KINDS[param.kind]
+        _expect(test(value), where, f"expected {noun}")
+        return _bounded(param, value, where)
+    test, noun = _KINDS[param.kind[:-1]]
+    _expect(isinstance(value, (list, tuple)) and len(value) > 0, where,
             "expected a non-empty list")
-    return value
+    for entry in value:
+        _expect(test(entry), where, f"entry {entry!r} is not {noun}")
+    return [_bounded(param, entry, where) for entry in value]
 
 
-def get_numbers(doc: dict, key: str, path: str, default=None,
-                integer: bool = False, minimum=None, maximum=None,
-                positive: bool = False) -> list:
-    """A non-empty list of numbers (of integers if ``integer``), each
-    checked against the same bounds as ``get_float``."""
-    values = get_list(doc, key, path, default)
-    kind = "an integer" if integer else "a number"
-    for value in values:
-        _expect((_is_int if integer else _is_number)(value), f"{path}{key}",
-                f"entry {value!r} is not {kind}")
-        _check_range(value, f"{path}{key}", minimum, maximum, positive)
-    return [int(v) if integer else float(v) for v in values]
+def resolve(table: dict, block, path: str,
+            cal: DeviceCalibration | None) -> dict:
+    """Validate ``block`` against ``table`` and fill in the defaults.
+
+    ``table`` maps each key to a ``Param``, or to a table of its own for a
+    nested block.  Keys the table does not declare are refused; ``path`` is
+    the block's dotted path ("" at the top level) and prefixes every error.
+    """
+    prefix = f"{path}." if path else ""
+    _expect(isinstance(block, dict), path, "expected a mapping")
+    for key in block:
+        _expect(key in table, f"{prefix}{key}", "unknown key")
+    out = {}
+    for key, param in table.items():
+        where = prefix + key
+        if isinstance(param, dict):
+            out[key] = resolve(param, block.get(key, {}), where, cal)
+            continue
+        if key in block:
+            value = block[key]
+        else:
+            value = param.default
+            if callable(value):
+                value = value(cal, out)
+            _expect(value is not None, where, "required field is missing")
+        out[key] = _check(param, value, where)
+    return out
+
+
+def with_dotted(doc: dict, dotted: str, value) -> dict:
+    """A copy of ``doc`` with ``value`` at the dotted path ``dotted``; only
+    the mappings along the path are copied."""
+    key, _, rest = dotted.partition(".")
+    if rest:
+        block = doc.get(key, {})
+        _expect(isinstance(block, dict), key, "expected a mapping")
+        value = with_dotted(block, rest, value)
+    return {**doc, key: value}
 
 
 def load_document(path) -> dict:
@@ -151,55 +174,69 @@ def resolve_calibration(doc: dict, protocol: str) -> tuple[DeviceCalibration, di
     """
     from .experiments import PROTOCOLS, Protocol  # the table imports us
 
-    block = doc.get("calibration", {})
-    _expect(isinstance(block, dict), "calibration", "expected a mapping")
     # An unknown protocol gets the table's default preset.
-    default_preset = PROTOCOLS.get(protocol, Protocol(run=None)).preset
-    preset = block.get("preset", default_preset)
-    _expect(isinstance(preset, str), "calibration.preset", "expected a string")
+    default_preset = PROTOCOLS.get(protocol, Protocol(None, {})).preset
+    block = resolve({"preset": Param("str", default_preset),
+                     "overrides": Param("mapping", {})},
+                    doc.get("calibration", {}), "calibration", None)
     try:
-        cal = calibration_preset(preset)
+        cal = calibration_preset(block["preset"])
     except ValueError as exc:
         raise ValidationError("calibration.preset", str(exc))
-    overrides = block.get("overrides", {})
-    _expect(isinstance(overrides, dict), "calibration.overrides",
-            "expected a mapping")
+    overrides = block["overrides"]
     if overrides:
         merged = cal.to_dict()
-        known = set(merged)
-        for key, value in overrides.items():
-            _expect(key in known, f"calibration.overrides.{key}",
+        for key in overrides:
+            _expect(key in merged, f"calibration.overrides.{key}",
                     "unknown calibration field")
-            merged[key] = value
         try:
-            cal = DeviceCalibration.from_dict(merged)
+            cal = DeviceCalibration.from_dict({**merged, **overrides})
         except (ValueError, TypeError) as exc:
             raise ValidationError("calibration.overrides", str(exc))
-    return cal, {"preset": preset, "overrides": dict(overrides)}
+    return cal, {"preset": block["preset"], "overrides": dict(overrides)}
 
 
-def spec_from_dict(doc: dict) -> ExperimentSpec:
+def spec_from_dict(doc: dict, seed: int | None = None,
+                   output_dir: str | None = None, preset: str | None = None,
+                   trials: int | None = None) -> ExperimentSpec:
+    """Resolve a document, after applying any command-line overrides to it.
+
+    Besides the head fields, a document holds only the calibration block,
+    its protocol's block, and the ``calibration_resolved`` record of a run
+    snapshot, which must match the calibration the document resolves to.
+    """
     from .experiments import PROTOCOLS  # the table imports us
 
-    name = get_str(doc, "name", "")
-    protocol = get_str(doc, "protocol", "")
-    _expect(protocol in PROTOCOLS, "protocol",
-            f"must be one of {list(PROTOCOLS)}")
-    seed = get_int(doc, "seed", "", default=0, minimum=0)
-    output_dir = get_str(doc, "output_dir", "", default="runs")
+    for dotted, value in (("seed", seed), ("output_dir", output_dir),
+                          ("calibration.preset", preset),
+                          (f"{doc.get('protocol')}.trials", trials)):
+        if value is not None:
+            doc = with_dotted(doc, dotted, value)
+    head_table = {
+        "name": Param("str"),
+        "protocol": Param("str", choices=tuple(PROTOCOLS)),
+        "seed": Param("int", 0, minimum=0),
+        "output_dir": Param("str", "runs"),
+    }
+    head = resolve(head_table, {k: v for k, v in doc.items()
+                                if k in head_table}, "", None)
+    protocol = head["protocol"]
+    for key in doc:
+        _expect(key in head_table or key in (
+                    protocol, "calibration", "calibration_resolved"), key,
+                "block of another protocol" if key in PROTOCOLS
+                else "unknown key")
     cal, source = resolve_calibration(doc, protocol)
-    params = doc.get(protocol, {})
-    _expect(isinstance(params, dict), protocol, "expected a mapping")
-    return ExperimentSpec(
-        name=name,
-        protocol=protocol,
-        seed=seed,
-        output_dir=output_dir,
-        calibration=cal,
-        calibration_source=source,
-        params=dict(params),
-    )
+    _expect(doc.get("calibration_resolved", cal.to_dict()) == cal.to_dict(),
+            "calibration_resolved",
+            "does not match the calibration block; change calibration."
+            "overrides instead")
+    params = resolve(PROTOCOLS[protocol].params, doc.get(protocol, {}),
+                     protocol, cal)
+    return ExperimentSpec(calibration=cal, calibration_source=source,
+                          params=params, **head)
 
 
-def spec_from_file(path) -> ExperimentSpec:
-    return spec_from_dict(load_document(path))
+def spec_from_file(path, **overrides) -> ExperimentSpec:
+    """``spec_from_dict`` on a YAML or JSON document."""
+    return spec_from_dict(load_document(path), **overrides)

@@ -23,14 +23,7 @@ import yaml
 
 from . import __version__
 from .analysis import ENERGY_PRESETS, EnergyModel, pareto_curve
-from .config import (
-    ExperimentSpec,
-    get_bool,
-    get_float,
-    get_int,
-    get_numbers,
-    get_str,
-)
+from .config import ExperimentSpec, Param, with_dotted
 from .crossbar import (
     build_crossbar,
     check_current_uniformity,
@@ -38,11 +31,17 @@ from .crossbar import (
 )
 from .device import (
     DeviceCalibration,
+    FieldSetting,
     PulseTrain,
     field_for_weight,
     synaptic_weight,
 )
-from .errors import MissingArtifact, OutOfRange, ValidationError
+from .errors import (
+    MissingArtifact,
+    OutOfRange,
+    StripeDomainRegime,
+    ValidationError,
+)
 from .nucleation import (
     StochasticModel,
     analytic_sigma,
@@ -116,94 +115,99 @@ def write_yaml(path: Path, obj):
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
-
-def _zone_from_params(params: dict, path: str, cal: DeviceCalibration) -> DetectionZone:
-    block = params.get("zone", {})
-    if not isinstance(block, dict):
-        raise ValidationError(f"{path}.zone", "expected a mapping")
-    zone = DetectionZone(
-        center_x=get_float(block, "center_x", f"{path}.zone.", default=8.0),
-        center_y=get_float(block, "center_y", f"{path}.zone.",
-                           default=cal.track_width / 2.0),
-        side=get_float(block, "side", f"{path}.zone.", default=6.0,
-                       positive=True),
-        capacity=get_int(block, "capacity", f"{path}.zone.", default=81,
-                         minimum=1),
-    )
-    if not zone_within_track(zone, cal):
-        raise ValidationError(f"{path}.zone", "must lie within the track")
-    return zone
-
-
-# ---------------------------------------------------------------------------
 # protocol runners
+#
+# Each runner takes its protocol's parameters, resolved against the table
+# beside it, as keyword arguments.  Checks that span two parameters or need
+# the calibration stay in the runner, and raise ValidationError too.
 
-def run_nucleation_sweep(cal: DeviceCalibration, params: dict, seed: int,
-                         outdir: Path) -> dict:
+def _program(cal: DeviceCalibration, protocol: str, weight: float,
+             duration: float, current_density: float) -> FieldSetting:
+    """The field that programs ``weight`` with this pulse, whose current
+    density must lie in the calibration's velocity window."""
+    j_min, j_max = cal.velocity_window
+    if not j_min <= current_density <= j_max:
+        raise ValidationError(f"{protocol}.current_density",
+                              f"must lie in the velocity window "
+                              f"[{j_min}, {j_max}]")
+    try:
+        return field_for_weight(cal, weight, duration, current_density)
+    except OutOfRange as exc:
+        raise ValidationError(f"{protocol}.weight", str(exc))
+
+
+_P_BAR = Param("float", 0.4, minimum=0.0, maximum=1.0)
+_FIELD_GRID = [20.0 + 0.5 * k for k in range(13)]  # mT
+
+
+NUCLEATION_SWEEP = {
+    "sweep": Param("str", "field", choices=("field", "current", "duration")),
+    # A field sweep defaults to 20..26 mT; other sweeps must give values.
+    "values": Param("floats", lambda _, got: _FIELD_GRID
+                    if got["sweep"] == "field" else None, positive=True),
+    # Each repeat fits a line through pulses + 1 points; the fit needs 3.
+    "pulses": Param("int", 20, minimum=2),
+    "repeats": Param("int", 100, minimum=1),
+    "p_bar": _P_BAR,
+    "field": Param("float", 24.0),
+    "current_density": Param("float", lambda cal, _: cal.current_ref,
+                             positive=True),
+    "duration": Param("float", lambda cal, _: cal.duration_ref,
+                      positive=True),
+}
+
+
+def run_nucleation_sweep(cal: DeviceCalibration, seed: int, outdir: Path, *,
+                         sweep, values, pulses, repeats, p_bar, field,
+                         current_density, duration) -> dict:
     """Sweep one control knob, fit the per-value nucleation slope.
 
     For a field sweep the summary includes the regression of slope versus
     field, which recovers the weight-field law.
     """
-    p = "nucleation_sweep."
-    sweep = get_str(params, "sweep", p, default="field")
-    if sweep not in ("field", "current", "duration"):
-        raise ValidationError(p + "sweep",
-                              "must be 'field', 'current' or 'duration'")
-    if "values" in params:
-        values = get_numbers(params, "values", p, positive=sweep != "field")
-    elif sweep == "field":
-        values = [20.0 + 0.5 * k for k in range(13)]
-    else:
-        raise ValidationError(p + "values",
-                              "required for current/duration sweeps")
-    # Each repeat fits a line through pulses + 1 points; the fit needs 3.
-    pulses = get_int(params, "pulses", p, default=20, minimum=2)
-    repeats = get_int(params, "repeats", p, default=100, minimum=1)
-    p_bar = get_float(params, "p_bar", p, default=0.4, minimum=0.0,
-                      maximum=1.0)
-    base_field = get_float(params, "field", p, default=24.0)
-    base_j = get_float(params, "current_density", p, default=cal.current_ref,
-                       positive=True)
-    base_t = get_float(params, "duration", p, default=cal.duration_ref,
-                       positive=True)
     model = StochasticModel(p_bar)
 
     def weight_at(value: float) -> float:
-        h = value if sweep == "field" else base_field
-        j = value if sweep == "current" else base_j
-        t = value if sweep == "duration" else base_t
+        h = value if sweep == "field" else field
+        j = value if sweep == "current" else current_density
+        t = value if sweep == "duration" else duration
         return synaptic_weight(cal, h, t, j)
 
-    slope_rows, trace_rows, mean_rows, per_value = [], [], [], []
-    x_axis = np.arange(pulses + 1, dtype=float)
-    for vi, value in enumerate(values):
-        w = weight_at(value)
-        counts = sample_pulse_counts(w, model, stream(seed, "sweep", vi),
-                                     (repeats, pulses))
-        cumulative = np.concatenate(
-            [np.zeros((repeats, 1), dtype=np.int64),
-             np.cumsum(counts, axis=1)], axis=1)
-        slopes = np.empty(repeats)
-        for r in range(repeats):
-            fit = fit_weight(np.column_stack([x_axis, cumulative[r]]))
-            slopes[r] = fit.slope
-            slope_rows.append((sweep, value, r, fit.slope, fit.intercept))
-        for k in range(pulses + 1):
-            c = int(counts[0, k - 1]) if k > 0 else 0
-            trace_rows.append((value, k, c, int(cumulative[0, k])))
-        mean_rows.append((value, float(slopes.mean()),
-                          float(slopes.std(ddof=1)) if repeats > 1 else 0.0))
-        per_value.append({"value": value, "weight": w,
-                          "slope_mean": float(slopes.mean()),
-                          "slope_std": float(slopes.std(ddof=1))
-                          if repeats > 1 else 0.0})
+    # A field below field_min is bad input; above field_max it clamps.
+    try:
+        weights = [weight_at(value) for value in values]
+    except StripeDomainRegime as exc:
+        raise ValidationError("nucleation_sweep."
+                              + ("values" if sweep == "field" else "field"),
+                              str(exc))
+
+    slope_rows, trace_rows, per_value = [], [], []
+    for vi, (value, w) in enumerate(zip(values, weights)):
+        # A leading zero column: the cumulative count before any pulse.
+        counts = np.pad(sample_pulse_counts(w, model,
+                                            stream(seed, "sweep", vi),
+                                            (repeats, pulses)),
+                        ((0, 0), (1, 0)))
+        cumulative = np.cumsum(counts, axis=1)
+        # One least-squares fit per repeat, through pulses + 1 points.
+        fits = fit_weight(np.stack(np.broadcast_arrays(
+            np.arange(pulses + 1.0), cumulative), axis=-1))
+        slope_rows += [(sweep, value, r, *fit) for r, fit in
+                       enumerate(zip(fits.slope, fits.intercept))]
+        trace_rows += [(value, k, int(c), int(n)) for k, (c, n) in
+                       enumerate(zip(counts[0], cumulative[0]))]
+        per_value.append({
+            "value": value, "weight": w,
+            "slope_mean": float(fits.slope.mean()),
+            "slope_std": float(fits.slope.std(ddof=1)) if repeats > 1
+            else 0.0})
 
     write_csv(outdir / "slopes.csv",
               ("sweep", "value", "repeat", "slope", "intercept"), slope_rows)
     write_csv(outdir / "slopes_mean.csv",
-              ("value", "slope_mean", "slope_std"), mean_rows)
+              ("value", "slope_mean", "slope_std"),
+              [(v["value"], v["slope_mean"], v["slope_std"])
+               for v in per_value])
     write_csv(outdir / "traces.csv",
               ("value", "pulse_index", "count", "cumulative"), trace_rows)
 
@@ -217,36 +221,42 @@ def run_nucleation_sweep(cal: DeviceCalibration, params: dict, seed: int,
     return summary
 
 
-def run_detection_run(cal: DeviceCalibration, params: dict, seed: int,
-                      outdir: Path) -> dict:
+DETECTION_RUN = {
+    "baseline": Param("int", 10, minimum=0),
+    "pulses": Param("int", 20, minimum=0),
+    "reset": Param("int", 1, minimum=0),
+    "post": Param("int", 10, minimum=0),
+    "weight": Param("float", 1.0),
+    "current_density": Param("float", 150.0, positive=True),
+    "duration": Param("float", lambda cal, _: cal.duration_ref,
+                      positive=True),
+    "p_bar": _P_BAR._replace(default=0.0),
+    "noise": Param("bool", False),
+    "sigma_meas": Param("float", DEFAULT_SIGMA_MEAS_NV),
+    "drift_rate": Param("float", 0.0),
+    "zone": {
+        "center_x": Param("float", 8.0),
+        "center_y": Param("float", lambda cal, _: cal.track_width / 2.0),
+        "side": Param("float", 6.0, positive=True),
+        "capacity": Param("int", 81, minimum=1),
+    },
+}
+
+
+def run_detection_run(cal: DeviceCalibration, seed: int, outdir: Path, *,
+                      baseline, pulses, reset, post, weight, current_density,
+                      duration, p_bar, noise, sigma_meas, drift_rate,
+                      zone) -> dict:
     """Single-track detection sequence: baseline, pulse-and-measure, field
     reset, post-reset samples."""
-    p = "detection_run."
-    baseline = get_int(params, "baseline", p, default=10, minimum=0)
-    pulses = get_int(params, "pulses", p, default=20, minimum=0)
-    reset = get_int(params, "reset", p, default=1, minimum=0)
-    post = get_int(params, "post", p, default=10, minimum=0)
-    weight = get_float(params, "weight", p, default=1.0)
-    j_min, j_max = cal.velocity_window
-    j = get_float(params, "current_density", p, default=150.0, positive=True,
-                  minimum=j_min, maximum=j_max)
-    t = get_float(params, "duration", p, default=cal.duration_ref,
-                  positive=True)
-    p_bar = get_float(params, "p_bar", p, default=0.0, minimum=0.0,
-                      maximum=1.0)
-    noise = get_bool(params, "noise", p, default=False)
-    sigma_meas = get_float(params, "sigma_meas", p,
-                           default=DEFAULT_SIGMA_MEAS_NV)
-    drift_rate = get_float(params, "drift_rate", p, default=0.0)
-    zone = _zone_from_params(params, "detection_run", cal)
-
-    try:
-        field = field_for_weight(cal, weight, t, j)
-    except OutOfRange as exc:
-        raise ValidationError(p + "weight", str(exc))
+    zone = DetectionZone(**zone)
+    if not zone_within_track(zone, cal):
+        raise ValidationError("detection_run.zone",
+                              "must lie within the track")
+    field = _program(cal, "detection_run", weight, duration, current_density)
     device = TrackDevice(
         cal=cal, zone=zone, field=field,
-        pulse=PulseTrain(1, j, t),
+        pulse=PulseTrain(1, current_density, duration),
         stochastic=StochasticModel(p_bar),
     )
     protocol = ProtocolSpec.standard(baseline=baseline, pulses=pulses,
@@ -276,35 +286,33 @@ def run_detection_run(cal: DeviceCalibration, params: dict, seed: int,
     }
 
 
-def run_fig4_twotrack(cal: DeviceCalibration, params: dict, seed: int,
-                      outdir: Path) -> dict:
-    """Two-track weighted-sum demonstration with duration-tuned weights."""
-    p = "fig4_twotrack."
-    pulses = get_int(params, "pulses", p, default=20, minimum=0)
-    durations = get_numbers(params, "durations", p, default=[50.0, 50.0],
-                            positive=True)
-    if len(durations) != 2:
-        raise ValidationError(p + "durations", "expected two numbers")
-    j_min, j_max = cal.velocity_window
-    j = get_float(params, "current_density", p, default=116.0, positive=True,
-                  minimum=j_min, maximum=j_max)
-    weight = get_float(params, "weight", p, default=1.0)
-    p_bar = get_float(params, "p_bar", p, default=0.0, minimum=0.0,
-                      maximum=1.0)
-    noise = get_bool(params, "noise", p, default=True)
-    sigma_meas = get_float(params, "sigma_meas", p,
-                           default=DEFAULT_SIGMA_MEAS_NV)
-    baseline = get_int(params, "baseline", p, default=20, minimum=0)
-    hold = get_int(params, "hold", p, default=20, minimum=0)
-    post = get_int(params, "post", p, default=10, minimum=0)
+FIG4_TWOTRACK = {
+    "pulses": Param("int", 20, minimum=0),
+    "durations": Param("floats", (50.0, 50.0), positive=True),
+    "current_density": Param("float", 116.0, positive=True),
+    "weight": Param("float", 1.0),
+    "p_bar": _P_BAR._replace(default=0.0),
+    "noise": Param("bool", True),
+    "sigma_meas": Param("float", DEFAULT_SIGMA_MEAS_NV),
+    "baseline": Param("int", 20, minimum=0),
+    "hold": Param("int", 20, minimum=0),
+    "post": Param("int", 10, minimum=0),
+}
 
-    try:
-        field = field_for_weight(cal, weight, durations[0], j)
-    except OutOfRange as exc:
-        raise ValidationError(p + "weight", str(exc))
-    weights = [[synaptic_weight(cal, field, d, j)] for d in durations]
+
+def run_fig4_twotrack(cal: DeviceCalibration, seed: int, outdir: Path, *,
+                      pulses, durations, current_density, weight, p_bar,
+                      noise, sigma_meas, baseline, hold, post) -> dict:
+    """Two-track weighted-sum demonstration with duration-tuned weights."""
+    if len(durations) != 2:
+        raise ValidationError("fig4_twotrack.durations",
+                              "expected two numbers")
+    field = _program(cal, "fig4_twotrack", weight, durations[0],
+                     current_density)
+    weights = [[synaptic_weight(cal, field, d, current_density)]
+               for d in durations]
     config = build_crossbar(cal, weights)
-    specs = [PulseTrain(pulses, j, d) for d in durations]
+    specs = [PulseTrain(pulses, current_density, d) for d in durations]
     trace = run_fig4_protocol(config, specs, cal, StochasticModel(p_bar),
                               seed=seed, noise=noise, sigma_meas=sigma_meas,
                               baseline=baseline, hold=hold, post=post)
@@ -335,18 +343,18 @@ def run_fig4_twotrack(cal: DeviceCalibration, params: dict, seed: int,
     }
 
 
-def run_montecarlo_sigma(cal: DeviceCalibration, params: dict, seed: int,
-                         outdir: Path) -> dict:
-    """Monte Carlo fluctuation sweep against the analytic sigma law."""
-    p = "montecarlo_sigma."
-    p_bars = get_numbers(params, "p_bars", p,
-                         default=[0.0, 0.2, 0.4, 0.6, 0.8],
-                         minimum=0.0, maximum=1.0)
-    n_pulses = get_numbers(params, "n_pulses", p,
-                           default=[1, 2, 5, 10, 20, 50, 100, 200, 500, 1000],
-                           integer=True, minimum=1)
-    trials = get_int(params, "trials", p, default=10000, minimum=1000)
+MONTECARLO_SIGMA = {
+    "p_bars": Param("floats", (0.0, 0.2, 0.4, 0.6, 0.8), minimum=0.0,
+                    maximum=1.0),
+    "n_pulses": Param("ints", (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000),
+                      minimum=1),
+    "trials": Param("int", 10000, minimum=1000),
+}
 
+
+def run_montecarlo_sigma(cal: DeviceCalibration, seed: int, outdir: Path, *,
+                         p_bars, n_pulses, trials) -> dict:
+    """Monte Carlo fluctuation sweep against the analytic sigma law."""
     rows = []
     max_rel_err = 0.0
     for pi, p_bar in enumerate(p_bars):
@@ -365,94 +373,63 @@ def run_montecarlo_sigma(cal: DeviceCalibration, params: dict, seed: int,
     return {"trials": trials, "max_rel_err_nonzero_pbar": max_rel_err}
 
 
-def run_pareto(cal: DeviceCalibration, params: dict, seed: int,
-               outdir: Path) -> dict:
-    """Energy versus precision tables for each nucleation energy preset."""
-    p = "pareto."
-    m = get_int(params, "m", p, default=10, minimum=1)
-    p_bar = get_float(params, "p_bar", p, default=0.4, minimum=0.0,
-                      maximum=1.0)
-    presets = params.get("presets", sorted(ENERGY_PRESETS))
-    if not isinstance(presets, list) or not presets:
-        raise ValidationError(p + "presets", "expected a non-empty list")
-    n_min = get_int(params, "n_pulse_min", p, default=1, minimum=1)
-    n_max = get_int(params, "n_pulse_max", p, default=100, minimum=1)
-    if n_max < n_min:
-        raise ValidationError(p + "n_pulse_max", "must be >= n_pulse_min")
+PARETO = {
+    "m": Param("int", 10, minimum=1),
+    "p_bar": _P_BAR,
+    "presets": Param("strs", sorted(ENERGY_PRESETS), choices=ENERGY_PRESETS),
+    "n_pulse_min": Param("int", 1, minimum=1),
+    "n_pulse_max": Param("int", 100, minimum=1),
+}
 
+
+def run_pareto(cal: DeviceCalibration, seed: int, outdir: Path, *,
+               m, p_bar, presets, n_pulse_min, n_pulse_max) -> dict:
+    """Energy versus precision tables for each nucleation energy preset."""
+    if n_pulse_max < n_pulse_min:
+        raise ValidationError("pareto.n_pulse_max", "must be >= n_pulse_min")
+    pulse_counts = range(n_pulse_min, n_pulse_max + 1)
     rows = []
     for preset in presets:
-        if preset not in ENERGY_PRESETS:
-            raise ValidationError(p + "presets",
-                                  f"unknown energy preset {preset!r}")
-        model = EnergyModel.from_preset(preset)
-        curve = pareto_curve(m, p_bar, model, range(n_min, n_max + 1))
-        for n, (precision, energy) in zip(range(n_min, n_max + 1), curve):
+        curve = pareto_curve(m, p_bar, EnergyModel.from_preset(preset),
+                             pulse_counts)
+        for n, (precision, energy) in zip(pulse_counts, curve):
             rows.append((preset, n, precision, energy))
     write_csv(outdir / "pareto.csv",
               ("preset", "n_pulse", "precision", "energy_J"), rows)
-    return {"m": m, "p_bar": p_bar, "presets": list(presets)}
+    return {"m": m, "p_bar": p_bar, "presets": presets}
 
 
-def _load_weights(params: dict, path: str) -> np.ndarray:
-    if "weights" in params:
-        w = params["weights"]
-        if isinstance(w, str):
-            try:
-                return np.atleast_2d(np.loadtxt(w, delimiter=",", ndmin=2))
-            except OSError as exc:
-                raise ValidationError(f"{path}.weights", str(exc))
-        if isinstance(w, list):
-            try:
-                return np.atleast_2d(np.asarray(w, dtype=float))
-            except ValueError:
-                raise ValidationError(f"{path}.weights",
-                                      "expected a numeric matrix")
-    raise ValidationError(f"{path}.weights",
-                          "required: inline matrix or CSV path")
+NETSIM = {
+    "weights": Param("matrix"),
+    "states": Param("int", 15, minimum=2),
+    "input": Param("ints", minimum=0),
+    "trials": Param("int", 0, minimum=0),
+    "p_bar": _P_BAR,
+    "readout": Param("str", "identity", choices=("identity", "linear_ahe")),
+}
 
 
-def run_netsim(cal: DeviceCalibration, params: dict, seed: int,
-               outdir: Path) -> dict:
+def run_netsim(cal: DeviceCalibration, seed: int, outdir: Path, *,
+               weights, states, input, trials, p_bar, readout) -> dict:
     """Quantise a weight matrix, emit its programming schedule and run
     inference through the simulated crossbar."""
-    p = "netsim."
-    weights = _load_weights(params, "netsim")
-    states = get_int(params, "states", p, default=15, minimum=2)
-    inputs = get_numbers(params, "input", p, integer=True, minimum=0)
-    if len(inputs) != weights.shape[0]:
-        raise ValidationError(p + "input",
+    if len(input) != weights.shape[0]:
+        raise ValidationError("netsim.input",
                               f"length must match {weights.shape[0]} rows")
-    trials = get_int(params, "trials", p, default=0, minimum=0)
-    p_bar = get_float(params, "p_bar", p, default=0.4, minimum=0.0,
-                      maximum=1.0)
-    readout = get_str(params, "readout", p, default="identity")
-    if readout not in ("identity", "linear_ahe"):
-        raise ValidationError(p + "readout",
-                              "must be 'identity' or 'linear_ahe'")
-
     layer = quantize(weights, states=states, cal=cal)
     write_json(outdir / "schedule.json", layer.programming_schedule())
 
-    expected = infer(layer, inputs, mode="expected", readout=readout, cal=cal)
-    rows = []
-    stoch_mean = stoch_std = None
+    columns = {"column": range(weights.shape[1]),
+               "expected": infer(layer, input, mode="expected",
+                                 readout=readout, cal=cal)}
     if trials > 0:
-        out = infer(layer, inputs, mode="stochastic", readout=readout,
-                    cal=cal, stochastic=StochasticModel(p_bar), seed=seed,
-                    trials=trials)
-        out = np.atleast_2d(out)
-        stoch_mean = out.mean(axis=0)
-        stoch_std = out.std(ddof=1, axis=0) if trials > 1 else np.zeros_like(
-            stoch_mean)
-    for jcol in range(weights.shape[1]):
-        row = [jcol, float(expected[jcol])]
-        if stoch_mean is not None:
-            row += [float(stoch_mean[jcol]), float(stoch_std[jcol])]
-        rows.append(tuple(row))
-    header = ("column", "expected") + (
-        ("stochastic_mean", "stochastic_std") if stoch_mean is not None else ())
-    write_csv(outdir / "outputs.csv", header, rows)
+        out = np.atleast_2d(infer(
+            layer, input, mode="stochastic", readout=readout, cal=cal,
+            stochastic=StochasticModel(p_bar), seed=seed, trials=trials))
+        columns["stochastic_mean"] = out.mean(axis=0)
+        columns["stochastic_std"] = (out.std(ddof=1, axis=0) if trials > 1
+                                     else np.zeros(out.shape[1]))
+    write_csv(outdir / "outputs.csv", tuple(columns), zip(*columns.values()))
 
     q_err = float(np.max(np.abs(layer.quantized - layer.weight_matrix))) \
         if weights.size else 0.0
@@ -465,19 +442,22 @@ def run_netsim(cal: DeviceCalibration, params: dict, seed: int,
 
 
 class Protocol(NamedTuple):
-    """A protocol's runner and the calibration preset it defaults to."""
+    """A protocol's runner, its parameter table and its default calibration
+    preset.  The runner is called as ``run(cal, seed, outdir, **params)``."""
 
-    run: Callable[[DeviceCalibration, dict, int, Path], dict]
+    run: Callable[..., dict]
+    params: dict
     preset: str = "paper2024"
 
 
 PROTOCOLS = {
-    "nucleation_sweep": Protocol(run_nucleation_sweep),
-    "detection_run": Protocol(run_detection_run),
-    "fig4_twotrack": Protocol(run_fig4_twotrack, "paper2024_fig4"),
-    "montecarlo_sigma": Protocol(run_montecarlo_sigma),
-    "pareto": Protocol(run_pareto),
-    "netsim": Protocol(run_netsim),
+    "nucleation_sweep": Protocol(run_nucleation_sweep, NUCLEATION_SWEEP),
+    "detection_run": Protocol(run_detection_run, DETECTION_RUN),
+    "fig4_twotrack": Protocol(run_fig4_twotrack, FIG4_TWOTRACK,
+                              "paper2024_fig4"),
+    "montecarlo_sigma": Protocol(run_montecarlo_sigma, MONTECARLO_SIGMA),
+    "pareto": Protocol(run_pareto, PARETO),
+    "netsim": Protocol(run_netsim, NETSIM),
 }
 
 
@@ -536,18 +516,11 @@ def _write_run(spec: ExperimentSpec, outdir: Path) -> None:
         },
     })
 
-    summary = PROTOCOLS[spec.protocol].run(spec.calibration, spec.params,
-                                           spec.seed, outdir)
+    summary = PROTOCOLS[spec.protocol].run(spec.calibration, spec.seed,
+                                           outdir, **spec.params)
     summary = {"name": spec.name, "protocol": spec.protocol,
                "seed": spec.seed, **summary}
     write_json(outdir / "summary.json", summary)
-
-
-def _manifest(run_dir: Path) -> dict:
-    path = Path(run_dir) / "manifest.json"
-    if not path.exists():
-        raise MissingArtifact(f"{run_dir} has no manifest.json")
-    return json.loads(path.read_text())
 
 
 class Figure(NamedTuple):
@@ -594,7 +567,10 @@ def emit_figure_data(run_dir, figure_id: str) -> Path:
                               f"unknown figure id {figure_id!r}; "
                               f"known: {list(FIGURE_IDS)}")
     fig = FIGURES[figure_id]
-    protocol = _manifest(run_dir).get("protocol")
+    manifest = run_dir / "manifest.json"
+    if not manifest.exists():
+        raise MissingArtifact(f"{run_dir} has no manifest.json")
+    protocol = json.loads(manifest.read_text()).get("protocol")
     if protocol != fig.protocol:
         raise MissingArtifact(
             f"figure {figure_id} needs a {fig.protocol} run, found {protocol}")
@@ -643,16 +619,6 @@ def calibrate_weight_law(rows) -> dict:
     }
 
 
-def _set_dotted(doc: dict, dotted: str, value):
-    keys = dotted.split(".")
-    node = doc
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
-        if not isinstance(node, dict):
-            raise ValidationError(dotted, "path does not address a mapping")
-    node[keys[-1]] = value
-
-
 def expand_sweep(doc: dict) -> list[dict]:
     """Cross product of a spec document over its ``sweep`` block."""
     sweep = doc.get("sweep")
@@ -669,9 +635,8 @@ def expand_sweep(doc: dict) -> list[dict]:
         combos = [dict(c, **{key: v}) for c in combos for v in values]
     docs = []
     for i, combo in enumerate(combos):
-        d = json.loads(json.dumps(base))  # deep copy
+        d = base
         for key, value in combo.items():
-            _set_dotted(d, key, value)
-        d["name"] = f"{base.get('name', 'sweep')}-{i:03d}"
-        docs.append(d)
+            d = with_dotted(d, key, value)
+        docs.append(dict(d, name=f"{base.get('name', 'sweep')}-{i:03d}"))
     return docs

@@ -236,23 +236,28 @@ def fit_weight(cumulative: Sequence[tuple[float, float]]) -> WeightFit:
 
     The slope is the empirical synaptic weight dN_sk/dN_pulses;
     ``slope_std`` is the standard OLS slope uncertainty from the residuals.
+    An ``(n, 2)`` array of points gives floats; a stack ``(..., n, 2)`` is
+    fitted point set by point set and gives arrays of shape ``(...)``.
     """
     pts = np.asarray(cumulative, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
+    if pts.ndim < 2 or pts.shape[-1] != 2:
         raise ValueError("expected a sequence of (n_pulses, n_sk) pairs")
-    if pts.shape[0] < 3:
+    if pts.shape[-2] < 3:
         raise InsufficientData("need at least 3 points to fit")
-    x, y = pts[:, 0], pts[:, 1]
-    if np.any(np.diff(x) <= 0):
-        if np.all(x == x[0]):
+    x, y = pts[..., 0], pts[..., 1]
+    if np.any(np.diff(x, axis=-1) <= 0):
+        if np.any(np.all(x == x[..., :1], axis=-1)):
             raise SingularFit("all n_pulses identical; slope undefined")
         raise ValueError("n_pulses must be strictly increasing")
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0.0:
+    x_mean, y_mean = x.mean(axis=-1), y.mean(axis=-1)
+    dx = x - x_mean[..., None]
+    sxx = np.sum(dx ** 2, axis=-1)
+    if np.any(sxx == 0.0):
         raise SingularFit("no spread in n_pulses")
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    dof = x.size - 2
-    s2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    return WeightFit(slope, intercept, math.sqrt(max(s2, 0.0) / sxx))
+    slope = np.sum(dx * (y - y_mean[..., None]), axis=-1) / sxx
+    intercept = y_mean - slope * x_mean
+    resid = y - (slope[..., None] * x + intercept[..., None])
+    dof = x.shape[-1] - 2
+    s2 = (resid[..., None, :] @ resid[..., :, None])[..., 0, 0] / dof
+    fit = WeightFit(slope, intercept, np.sqrt(np.maximum(s2, 0.0) / sxx))
+    return WeightFit(*map(float, fit)) if pts.ndim == 2 else fit

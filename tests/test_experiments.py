@@ -1,6 +1,9 @@
+import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -9,6 +12,7 @@ from skysum import MissingArtifact, ValidationError, cli, paper2024
 from skysum.config import spec_from_dict, spec_from_file
 from skysum.experiments import (
     FIGURE_IDS,
+    PROTOCOLS,
     calibrate_weight_law,
     emit_figure_data,
     expand_sweep,
@@ -52,19 +56,17 @@ class TestSpecValidation:
                       extra={"calibration": {"overrides": {"field_min": 30.0}}})
 
     def test_bad_protocol_param(self, tmp_path):
-        spec = make_spec(tmp_path, "x", "nucleation_sweep",
-                         params={"pulses": 0})
         with pytest.raises(ValidationError) as err:
-            run_experiment(spec)
-        assert "pulses" in err.value.path
+            make_spec(tmp_path, "x", "nucleation_sweep", params={"pulses": 0})
+        assert err.value.path == "nucleation_sweep.pulses"
 
     def test_fig4_defaults_to_twotrack_preset(self, tmp_path):
         spec = make_spec(tmp_path, "x", "fig4_twotrack")
         assert spec.calibration.current_ref == 116.0
 
     def test_seed_override(self, tmp_path):
-        spec = make_spec(tmp_path, "x", "pareto").with_overrides(seed=99)
-        assert spec.seed == 99
+        doc = {"name": "x", "protocol": "pareto", "seed": 3}
+        assert spec_from_dict(doc, seed=99).seed == 99
 
     def test_negative_seed_rejected_before_run(self, tmp_path):
         # Both routes exit 2 and leave no run directory behind.
@@ -105,18 +107,159 @@ class TestSpecValidation:
         ("fig4_twotrack", {"current_density": 210},
          "fig4_twotrack.current_density"),
         ("nucleation_sweep", {"pulses": 1}, "nucleation_sweep.pulses"),
+        ("detection_run", {"pulse": 500, "wieght": 3}, "detection_run.pulse"),
+        ("detection_run", {"zone": {"sid": 2}}, "detection_run.zone.sid"),
+        ("pareto", {"top": {"sede": 4}}, "sede"),
+        ("detection_run", {"top": {"pareto": {"m": 5}}}, "pareto"),
+        ("detection_run", {"top": {"sweep": {"detection_run.pulses": [5]}}},
+         "sweep"),
+        ("pareto", {"argv": ["--trials", "7"]}, "pareto.trials"),
+        ("detection_run", {"argv": ["--trials", "7"]},
+         "detection_run.trials"),
+        ("pareto", {"presets": [[1]]}, "pareto.presets"),
+        ("netsim", {"weights": [[float("nan"), 1.0]], "input": [3],
+                    "trials": 0}, "netsim.weights"),
+        ("netsim", {"weights": [[float("nan"), 1.0]], "input": [3],
+                    "trials": 5}, "netsim.weights"),
+        ("netsim", {"weights": [[[1.0]]], "input": [3]}, "netsim.weights"),
+        ("nucleation_sweep", {"values": [10, 11, 12]},
+         "nucleation_sweep.values"),
+        ("nucleation_sweep", {"sweep": "current", "values": [150.0, 171.0],
+                              "field": 10}, "nucleation_sweep.field"),
+        ("pareto", {"calibration": {"presett": "paper2024"}},
+         "calibration.presett"),
+        ("pareto", {"top": {"calibration_resolved": {"field_max": 30.0}}},
+         "calibration_resolved"),
     ])
     def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
                                           params, path):
-        # A row's "calibration" entry is the document's calibration block.
+        # A row's "calibration" entry is the document's calibration block,
+        # its "top" entries are further top-level keys of the document, and
+        # its "argv" entry holds extra command-line arguments.
         params = dict(params)
+        calibration = params.pop("calibration", {})
+        top = params.pop("top", {})
+        argv = params.pop("argv", [])
         spec = tmp_path / "bad.yaml"
         spec.write_text(yaml.safe_dump({
             "name": "bad", "protocol": protocol, "output_dir": str(tmp_path),
-            "calibration": params.pop("calibration", {}), protocol: params}))
-        assert cli.main(["run", str(spec)]) == 2
+            "calibration": calibration, protocol: params, **top}))
+        assert cli.main(["run", str(spec), *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert list(tmp_path.iterdir()) == [spec]
+
+
+    @pytest.mark.parametrize("protocol, sweep, argv, path", [
+        ("pareto", {"pareto.m": [5, 0]}, [], "pareto.m"),
+        ("montecarlo_sigma", {"montecarlo_sigma.n_pulses": [[5], [10]]},
+         ["--trials", "999"], "montecarlo_sigma.trials"),
+    ])
+    def test_sweep_resolves_every_spec_first(self, tmp_path, capsys, protocol,
+                                             sweep, argv, path):
+        spec = tmp_path / "grid.yaml"
+        spec.write_text(yaml.safe_dump({
+            "name": "grid", "protocol": protocol,
+            "output_dir": str(tmp_path), "sweep": sweep}))
+        assert cli.main(["sweep", str(spec), *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert list(tmp_path.iterdir()) == [spec]
+
+    def test_sweep_honours_trials(self, tmp_path, capsys):
+        spec = tmp_path / "grid.yaml"
+        spec.write_text(yaml.safe_dump({
+            "name": "grid", "protocol": "montecarlo_sigma",
+            "output_dir": str(tmp_path),
+            "montecarlo_sigma": {"p_bars": [0.4]},
+            "sweep": {"montecarlo_sigma.n_pulses": [[5], [10]]}}))
+        assert cli.main(["sweep", str(spec), "--trials", "1000"]) == 0
+        for sub in ("grid-000", "grid-001"):
+            assert summary_of(tmp_path / sub)["trials"] == 1000
+
+    def test_preset_override_reaches_defaults(self, tmp_path):
+        # Defaults read the calibration that --preset selects, and the
+        # document's calibration overrides stay on top of it.
+        doc = {"name": "x", "protocol": "nucleation_sweep",
+               "calibration": {"overrides": {"track_length": 170.0}}}
+        spec = spec_from_dict(doc, preset="paper2024_fig4")
+        assert spec.params["current_density"] == 116.0
+        assert spec.calibration.track_length == 170.0
+        assert spec.calibration_source == {
+            "preset": "paper2024_fig4",
+            "overrides": {"track_length": 170.0}}
+
+
+def _flat_names(table: dict, prefix: str = ""):
+    for key, param in table.items():
+        if isinstance(param, dict):
+            yield from _flat_names(param, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+class TestProtocolTables:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_table_matches_runner_keywords(self, protocol):
+        entry = PROTOCOLS[protocol]
+        keywords = [p.name for p in
+                    inspect.signature(entry.run).parameters.values()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert keywords == list(entry.params)
+
+    def test_readme_lists_every_parameter(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("### Protocol parameters")[1].split("\n#")[0]
+        listed = re.findall(r"^\| `(\w+)\.([\w.]+)` \|", section, re.M)
+        assert sorted(listed) == sorted(
+            (protocol, name) for protocol, entry in PROTOCOLS.items()
+            for name in _flat_names(entry.params))
+
+    def test_snapshot_lists_every_parameter(self, tmp_path):
+        run_dir = run_experiment(make_spec(tmp_path, "d", "detection_run",
+                                           params={"pulses": 3}))
+        snapshot = yaml.safe_load(
+            (run_dir / "config_snapshot.yaml").read_text())
+        block = snapshot["detection_run"]
+        assert block["pulses"] == 3
+        assert block["current_density"] == 150.0
+        assert block["zone"]["center_y"] == 3.0
+        assert sorted(_flat_names(block)) == sorted(
+            _flat_names(PROTOCOLS["detection_run"].params))
+
+    SMALL = {
+        "nucleation_sweep": {"repeats": 3, "pulses": 4},
+        "detection_run": {"pulses": 5, "p_bar": 0.4, "noise": True},
+        "fig4_twotrack": {"pulses": 5},
+        "montecarlo_sigma": {"trials": 1000, "p_bars": [0.4],
+                             "n_pulses": [5]},
+        "pareto": {"n_pulse_max": 5},
+        "netsim": {"weights": "w.csv", "input": [3, 4], "trials": 20},
+    }
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_snapshot_reloads_and_reproduces(self, tmp_path, protocol):
+        wfile = tmp_path / "w.csv"
+        wfile.write_text("1.0,-0.5\n0.25,0.75\n")
+        params = dict(self.SMALL[protocol])
+        if protocol == "netsim":
+            params["weights"] = str(wfile)
+        first = run_experiment(make_spec(tmp_path / "a", "r", protocol,
+                                         seed=4, params=params))
+        # The snapshot carries the matrix itself, not the CSV path.
+        wfile.unlink()
+        snapshot = first / "config_snapshot.yaml"
+        assert "calibration_resolved" in yaml.safe_load(snapshot.read_text())
+        again = run_experiment(spec_from_file(
+            snapshot, output_dir=str(tmp_path / "b")))
+        files = sorted(f.name for f in first.iterdir())
+        assert files == sorted(f.name for f in again.iterdir())
+        for name in files:
+            if name != "config_snapshot.yaml":
+                assert (first / name).read_bytes() == \
+                    (again / name).read_bytes(), name
+        reloaded = yaml.safe_load((again / "config_snapshot.yaml").read_text())
+        original = yaml.safe_load(snapshot.read_text())
+        assert reloaded.pop("output_dir") != original.pop("output_dir")
+        assert reloaded == original
 
 
 class TestRunDirectories:
@@ -133,8 +276,7 @@ class TestRunDirectories:
                          params={"repeats": 5, "pulses": 10})
         run_dir = run_experiment(spec)
         snapshot = run_dir / "config_snapshot.yaml"
-        respec = spec_from_file(snapshot).with_overrides(
-            output_dir=str(tmp_path / "again"))
+        respec = spec_from_file(snapshot, output_dir=str(tmp_path / "again"))
         again = run_experiment(respec)
         assert (run_dir / "slopes.csv").read_bytes() == \
             (again / "slopes.csv").read_bytes()

@@ -333,3 +333,27 @@ class TestFitWeight:
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError):
             fit_weight([(0, 0), (2, 2), (1, 1)])
+
+    def test_stack_equals_single_fits(self):
+        # A (2, 3, n, 2) stack gives (2, 3) arrays, each entry bit-equal to
+        # the float fit of its own point set.
+        rng = np.random.default_rng(5)
+        x = np.cumsum(rng.uniform(0.5, 2.0, size=(2, 3, 8)), axis=-1)
+        y = np.cumsum(rng.integers(0, 3, size=(2, 3, 8)), axis=-1)
+        stack = np.stack([x, y], axis=-1)
+        fits = fit_weight(stack)
+        for part in fits:
+            assert isinstance(part, np.ndarray) and part.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            single = fit_weight(stack[idx])
+            assert all(type(v) is float for v in single)
+            assert single == tuple(part[idx] for part in fits)
+
+    def test_stack_checks_every_fit(self):
+        good = [(0, 0), (1, 1), (2, 2)]
+        with pytest.raises(SingularFit):
+            fit_weight([good, [(5, 1), (5, 2), (5, 3)]])
+        with pytest.raises(ValueError, match="increasing"):
+            fit_weight([good, [(0, 0), (2, 2), (1, 1)]])
+        with pytest.raises(InsufficientData):
+            fit_weight([[(0, 0), (1, 1)]])
