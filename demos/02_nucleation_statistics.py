@@ -12,14 +12,15 @@ from skysum import (
     analytic_sigma,
     estimate_pbar_from_trace,
     monte_carlo_sigma,
-    sample_pulse_counts,
+    sample_pulse_sums,
     stream,
 )
 
 model = StochasticModel(p_bar=0.4)  # the prototype's p(1) ~ 0.6
 
 print("== per-pulse outcomes at the one-skyrmion operating point ==")
-counts = sample_pulse_counts(1.0, model, stream(42, "demo"), (100_000,))
+# One-pulse totals: the count of each of 100 000 pulses.
+counts = sample_pulse_sums(1.0, model, stream(42, "demo"), 1, 100_000)
 for value in (0, 1, 2):
     frac = float(np.mean(counts == value))
     print(f"  {value} skyrmions: {frac:.3f}  {'#' * int(frac * 40)}")

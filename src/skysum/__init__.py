@@ -70,8 +70,6 @@ from .nucleation import (
     fit_weight,
     monte_carlo_sigma,
     pulse_distribution,
-    sample_pulse_count,
-    sample_pulse_counts,
     sample_pulse_sums,
     simulate_cumulative,
 )

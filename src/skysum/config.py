@@ -199,7 +199,8 @@ def resolve_calibration(doc: dict, protocol: str) -> tuple[DeviceCalibration, di
 def spec_from_dict(doc: dict, seed: int | None = None,
                    output_dir: str | None = None, preset: str | None = None,
                    trials: int | None = None) -> ExperimentSpec:
-    """Resolve a document, after applying any command-line overrides to it.
+    """Resolve a document, after applying any command-line overrides to it,
+    and run its protocol's check on the resolved parameters.
 
     Besides the head fields, a document holds only the calibration block,
     its protocol's block, and the ``calibration_resolved`` record of a run
@@ -233,6 +234,7 @@ def spec_from_dict(doc: dict, seed: int | None = None,
             "overrides instead")
     params = resolve(PROTOCOLS[protocol].params, doc.get(protocol, {}),
                      protocol, cal)
+    PROTOCOLS[protocol].check(cal, params)
     return ExperimentSpec(calibration=cal, calibration_source=source,
                           params=params, **head)
 

@@ -21,7 +21,7 @@ from .device import (
     PulseTrain,
 )
 from .errors import ProtocolError
-from .nucleation import MC_BLOCK, StochasticModel, sample_pulse_sums
+from .nucleation import StochasticModel, monte_carlo_sigma, sample_pulse_sums
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     MeasurementTrace,
@@ -357,21 +357,16 @@ def monte_carlo_sum_relative_std(m: int, n_pulse: int,
     """Relative std of an M-synapse sum over seeded Monte Carlo trials.
 
     Every synapse receives ``n_pulse`` pulses at weight ``w``; the sum of
-    all counts is normalised by its expectation M * N * w.  For w = 1 this
-    converges to sqrt(p_bar / N) / sqrt(M).
+    all counts is normalised by M * N * w, its expectation for w >= 1.
+    The M * N pulses are independent and alike, so each trial's sum is
+    one (M * N)-pulse total drawn by ``monte_carlo_sigma``.  For w = 1
+    this converges to sqrt(p_bar / N) / sqrt(M).
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
-    totals = np.zeros(trials, dtype=np.int64)
-    for i in range(m):
-        done = 0
-        block = 0
-        while done < trials:
-            nb = min(MC_BLOCK, trials - done)
-            g = stream(seed, "sum-sigma", *path, i, block)
-            totals[done:done + nb] += sample_pulse_sums(w, model, g, n_pulse,
-                                                        nb)
-            done += nb
-            block += 1
-    norm = totals / (m * n_pulse * w)
-    return float(norm.std(ddof=1))
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n_pulse < 1:
+        raise ValueError("n_pulse must be >= 1")
+    if not w > 0:
+        raise ValueError("w must be > 0")
+    return monte_carlo_sigma(model, m * n_pulse, trials, seed, w,
+                             ("sum", *path)) / w

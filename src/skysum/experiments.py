@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -31,7 +32,6 @@ from .crossbar import (
 )
 from .device import (
     DeviceCalibration,
-    FieldSetting,
     PulseTrain,
     field_for_weight,
     synaptic_weight,
@@ -39,6 +39,7 @@ from .device import (
 from .errors import (
     MissingArtifact,
     OutOfRange,
+    RangeWarning,
     StripeDomainRegime,
     ValidationError,
 )
@@ -47,7 +48,7 @@ from .nucleation import (
     analytic_sigma,
     fit_weight,
     monte_carlo_sigma,
-    sample_pulse_counts,
+    sample_pulse_sums,
 )
 from .netmap import infer, quantize
 from .readout import (
@@ -119,19 +120,20 @@ def write_yaml(path: Path, obj):
 #
 # Each runner takes its protocol's parameters, resolved against the table
 # beside it, as keyword arguments.  Checks that span two parameters or need
-# the calibration stay in the runner, and raise ValidationError too.
+# the calibration sit in the protocol's check, which ``spec_from_dict`` runs
+# on the resolved parameters, so they fail before any run starts.
 
-def _program(cal: DeviceCalibration, protocol: str, weight: float,
-             duration: float, current_density: float) -> FieldSetting:
-    """The field that programs ``weight`` with this pulse, whose current
-    density must lie in the calibration's velocity window."""
+def _check_pulse(cal: DeviceCalibration, protocol: str, weight: float,
+                 duration: float, current_density: float) -> None:
+    """The pulse's current density must lie in the calibration's velocity
+    window, and some field must program ``weight`` with this pulse."""
     j_min, j_max = cal.velocity_window
     if not j_min <= current_density <= j_max:
         raise ValidationError(f"{protocol}.current_density",
                               f"must lie in the velocity window "
                               f"[{j_min}, {j_max}]")
     try:
-        return field_for_weight(cal, weight, duration, current_density)
+        field_for_weight(cal, weight, duration, current_density)
     except OutOfRange as exc:
         raise ValidationError(f"{protocol}.weight", str(exc))
 
@@ -157,6 +159,28 @@ NUCLEATION_SWEEP = {
 }
 
 
+def _sweep_weights(cal: DeviceCalibration, sweep, values, field,
+                   current_density, duration, **_) -> list[float]:
+    """The weight at each swept value, the other knobs held."""
+    return [synaptic_weight(cal, value if sweep == "field" else field,
+                            value if sweep == "duration" else duration,
+                            value if sweep == "current" else current_density)
+            for value in values]
+
+
+def _check_nucleation_sweep(cal: DeviceCalibration, params: dict) -> None:
+    # A field below field_min is bad input.  Above field_max the weight
+    # clamps to 0, and the run itself gives the RangeWarning.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RangeWarning)
+            _sweep_weights(cal, **params)
+    except StripeDomainRegime as exc:
+        raise ValidationError(
+            "nucleation_sweep."
+            + ("values" if params["sweep"] == "field" else "field"), str(exc))
+
+
 def run_nucleation_sweep(cal: DeviceCalibration, seed: int, outdir: Path, *,
                          sweep, values, pulses, repeats, p_bar, field,
                          current_density, duration) -> dict:
@@ -166,27 +190,16 @@ def run_nucleation_sweep(cal: DeviceCalibration, seed: int, outdir: Path, *,
     field, which recovers the weight-field law.
     """
     model = StochasticModel(p_bar)
-
-    def weight_at(value: float) -> float:
-        h = value if sweep == "field" else field
-        j = value if sweep == "current" else current_density
-        t = value if sweep == "duration" else duration
-        return synaptic_weight(cal, h, t, j)
-
-    # A field below field_min is bad input; above field_max it clamps.
-    try:
-        weights = [weight_at(value) for value in values]
-    except StripeDomainRegime as exc:
-        raise ValidationError("nucleation_sweep."
-                              + ("values" if sweep == "field" else "field"),
-                              str(exc))
+    weights = _sweep_weights(cal, sweep, values, field, current_density,
+                             duration)
 
     slope_rows, trace_rows, per_value = [], [], []
     for vi, (value, w) in enumerate(zip(values, weights)):
-        # A leading zero column: the cumulative count before any pulse.
-        counts = np.pad(sample_pulse_counts(w, model,
-                                            stream(seed, "sweep", vi),
-                                            (repeats, pulses)),
+        # One-pulse totals, one row per repeat, after a leading zero
+        # column: the cumulative count before any pulse.
+        counts = np.pad(sample_pulse_sums(w, model, stream(seed, "sweep", vi),
+                                          1, repeats * pulses
+                                          ).reshape(repeats, pulses),
                         ((0, 0), (1, 0)))
         cumulative = np.cumsum(counts, axis=1)
         # One least-squares fit per repeat, through pulses + 1 points.
@@ -243,19 +256,23 @@ DETECTION_RUN = {
 }
 
 
+def _check_detection_run(cal: DeviceCalibration, params: dict) -> None:
+    if not zone_within_track(DetectionZone(**params["zone"]), cal):
+        raise ValidationError("detection_run.zone",
+                              "must lie within the track")
+    _check_pulse(cal, "detection_run", params["weight"], params["duration"],
+                 params["current_density"])
+
+
 def run_detection_run(cal: DeviceCalibration, seed: int, outdir: Path, *,
                       baseline, pulses, reset, post, weight, current_density,
                       duration, p_bar, noise, sigma_meas, drift_rate,
                       zone) -> dict:
     """Single-track detection sequence: baseline, pulse-and-measure, field
     reset, post-reset samples."""
-    zone = DetectionZone(**zone)
-    if not zone_within_track(zone, cal):
-        raise ValidationError("detection_run.zone",
-                              "must lie within the track")
-    field = _program(cal, "detection_run", weight, duration, current_density)
+    field = field_for_weight(cal, weight, duration, current_density)
     device = TrackDevice(
-        cal=cal, zone=zone, field=field,
+        cal=cal, zone=DetectionZone(**zone), field=field,
         pulse=PulseTrain(1, current_density, duration),
         stochastic=StochasticModel(p_bar),
     )
@@ -300,15 +317,19 @@ FIG4_TWOTRACK = {
 }
 
 
+def _check_fig4_twotrack(cal: DeviceCalibration, params: dict) -> None:
+    if len(params["durations"]) != 2:
+        raise ValidationError("fig4_twotrack.durations",
+                              "expected two numbers")
+    _check_pulse(cal, "fig4_twotrack", params["weight"],
+                 params["durations"][0], params["current_density"])
+
+
 def run_fig4_twotrack(cal: DeviceCalibration, seed: int, outdir: Path, *,
                       pulses, durations, current_density, weight, p_bar,
                       noise, sigma_meas, baseline, hold, post) -> dict:
     """Two-track weighted-sum demonstration with duration-tuned weights."""
-    if len(durations) != 2:
-        raise ValidationError("fig4_twotrack.durations",
-                              "expected two numbers")
-    field = _program(cal, "fig4_twotrack", weight, durations[0],
-                     current_density)
+    field = field_for_weight(cal, weight, durations[0], current_density)
     weights = [[synaptic_weight(cal, field, d, current_density)]
                for d in durations]
     config = build_crossbar(cal, weights)
@@ -382,11 +403,14 @@ PARETO = {
 }
 
 
+def _check_pareto(cal: DeviceCalibration, params: dict) -> None:
+    if params["n_pulse_max"] < params["n_pulse_min"]:
+        raise ValidationError("pareto.n_pulse_max", "must be >= n_pulse_min")
+
+
 def run_pareto(cal: DeviceCalibration, seed: int, outdir: Path, *,
                m, p_bar, presets, n_pulse_min, n_pulse_max) -> dict:
     """Energy versus precision tables for each nucleation energy preset."""
-    if n_pulse_max < n_pulse_min:
-        raise ValidationError("pareto.n_pulse_max", "must be >= n_pulse_min")
     pulse_counts = range(n_pulse_min, n_pulse_max + 1)
     rows = []
     for preset in presets:
@@ -409,13 +433,17 @@ NETSIM = {
 }
 
 
+def _check_netsim(cal: DeviceCalibration, params: dict) -> None:
+    rows = params["weights"].shape[0]
+    if len(params["input"]) != rows:
+        raise ValidationError("netsim.input",
+                              f"length must match {rows} rows")
+
+
 def run_netsim(cal: DeviceCalibration, seed: int, outdir: Path, *,
                weights, states, input, trials, p_bar, readout) -> dict:
     """Quantise a weight matrix, emit its programming schedule and run
     inference through the simulated crossbar."""
-    if len(input) != weights.shape[0]:
-        raise ValidationError("netsim.input",
-                              f"length must match {weights.shape[0]} rows")
     layer = quantize(weights, states=states, cal=cal)
     write_json(outdir / "schedule.json", layer.programming_schedule())
 
@@ -442,22 +470,27 @@ def run_netsim(cal: DeviceCalibration, seed: int, outdir: Path, *,
 
 
 class Protocol(NamedTuple):
-    """A protocol's runner, its parameter table and its default calibration
-    preset.  The runner is called as ``run(cal, seed, outdir, **params)``."""
+    """A protocol's runner, its parameter table, the check of the resolved
+    parameters against each other and the calibration, and its default
+    calibration preset.  ``check(cal, params)`` raises ValidationError;
+    the runner is called as ``run(cal, seed, outdir, **params)``."""
 
     run: Callable[..., dict]
     params: dict
+    check: Callable[[DeviceCalibration, dict], None] = lambda cal, params: None
     preset: str = "paper2024"
 
 
 PROTOCOLS = {
-    "nucleation_sweep": Protocol(run_nucleation_sweep, NUCLEATION_SWEEP),
-    "detection_run": Protocol(run_detection_run, DETECTION_RUN),
+    "nucleation_sweep": Protocol(run_nucleation_sweep, NUCLEATION_SWEEP,
+                                 _check_nucleation_sweep),
+    "detection_run": Protocol(run_detection_run, DETECTION_RUN,
+                              _check_detection_run),
     "fig4_twotrack": Protocol(run_fig4_twotrack, FIG4_TWOTRACK,
-                              "paper2024_fig4"),
+                              _check_fig4_twotrack, "paper2024_fig4"),
     "montecarlo_sigma": Protocol(run_montecarlo_sigma, MONTECARLO_SIGMA),
-    "pareto": Protocol(run_pareto, PARETO),
-    "netsim": Protocol(run_netsim, NETSIM),
+    "pareto": Protocol(run_pareto, PARETO, _check_pareto),
+    "netsim": Protocol(run_netsim, NETSIM, _check_netsim),
 }
 
 

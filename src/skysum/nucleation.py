@@ -9,11 +9,12 @@ accumulated count follows ``sigma = sqrt(p_bar / n_pulse)``.
 
 A pulse's count therefore takes at most four values, so the total over N
 independent pulses is exactly multinomial over them, or equivalently the
-N-fold convolution of the one-pulse law: ``pulse_distribution`` gives the
-law, ``sample_pulse_counts`` draws individual pulses and
-``sample_pulse_sums`` draws the totals with no per-pulse array, a batch by
-inverse CDF from a cached table (O(log N) per total after the one-off
-table) and a single total from one multinomial.
+N-fold convolution of the one-pulse law.  ``pulse_distribution`` is the
+only definition of that law, and ``sample_pulse_sums`` the only sampler:
+it draws totals with no per-pulse array, a batch by inverse CDF from a
+cached table (O(log N) per total after the one-off table) and a single
+total from one multinomial.  A pulse-by-pulse record is a batch of
+one-pulse totals.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ def pulse_distribution(w: float, model: StochasticModel
     The outcomes are ``max(floor(w) - 1 + k, 0)`` for k = 0..3: nominal
     count ``floor(w)`` or ``floor(w) + 1`` (probability ``frac(w)``), then
     a -1/0/+1 deviation, clamped at zero per pulse.  Values may repeat
-    where the clamp folds -1 onto 0.  At zero weight the single outcome is
-    0 (see ``sample_pulse_counts``).
+    where the clamp folds -1 onto 0.  At exactly zero weight the single
+    outcome is 0: the device is at its cutoff field and there is no
+    attempt for the thermal fluctuation to act on.
     """
     if w < 0:
         raise ValueError("weight must be >= 0")
@@ -129,42 +131,10 @@ def sample_pulse_sums(w: float, model: StochasticModel,
     return rng.multinomial(n_pulses, probs, size=size) @ values
 
 
-def sample_pulse_counts(w: float, model: StochasticModel,
-                        rng: np.random.Generator, shape) -> np.ndarray:
-    """Vectorised per-pulse counts of the given shape.
-
-    At exactly zero weight a pulse nucleates nothing: the device is at its
-    cutoff field and there is no attempt for the thermal fluctuation to
-    act on.
-    """
-    if w < 0:
-        raise ValueError("weight must be >= 0")
-    if w == 0:
-        return np.zeros(shape, dtype=np.int64)
-    base = math.floor(w)
-    frac = w - base
-    counts = np.full(shape, base, dtype=np.int64)
-    if frac > 0:
-        counts += rng.random(shape) < frac
-    p_minus, p_plus = model.deviation_probabilities()
-    if p_minus + p_plus > 0:
-        u = rng.random(shape)
-        counts += (u >= 1.0 - p_plus).astype(np.int64)
-        counts -= u < p_minus
-    np.maximum(counts, 0, out=counts)
-    return counts
-
-
-def sample_pulse_count(w: float, model: StochasticModel,
-                       rng: np.random.Generator) -> int:
-    """Number of skyrmions created by a single pulse at weight ``w``."""
-    return int(sample_pulse_counts(w, model, rng, ()))
-
-
 def simulate_cumulative(w: float, model: StochasticModel, n_pulses: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Cumulative skyrmion count after 0..n_pulses pulses (length n+1)."""
-    counts = sample_pulse_counts(w, model, rng, (n_pulses,))
+    counts = sample_pulse_sums(w, model, rng, 1, n_pulses)
     out = np.zeros(n_pulses + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from .device import DeviceCalibration, FieldSetting, PulseTrain, synaptic_weight
 from .errors import InsufficientData, InvalidRatio, ProtocolError
-from .nucleation import StochasticModel, sample_pulse_count
+from .nucleation import StochasticModel, sample_pulse_sums
 from .transport import (
     DetectionZone,
     notch_position,
@@ -201,12 +201,23 @@ def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
     the cohort born a pulses ago is in the zone iff the notch
     ``trajectory`` is after a pulses.  Crowding parks the youngest in-zone
     skyrmions past the zone, never to return, so they leave their cohort.
+    The births of all of a track's pulses are drawn from its ``rng``
+    before the first sample, one track after another, as one-pulse totals.
     """
-    inside, cohorts = [], []
+    inside, births, cohorts = [], [], []
     for t, track in enumerate(tracks):
         n = sum(s for phase, s, u in plan if phase == "pulsing" and u == t)
         x, y, alive = trajectory([track.notch], track.pulse, cal, n)
         inside.append(alive[:, 0] & track.zone.contains(x[:, 0], y[:, 0]))
+        # Kept apart from the cohorts, which a reset zeroes.
+        if n == 0:
+            births.append(np.zeros(0, dtype=np.int64))
+        elif track.rng is None:
+            births.append(np.full(n, _deterministic_count(track.weight),
+                                  dtype=np.int64))
+        else:
+            births.append(sample_pulse_sums(track.weight, track.stochastic,
+                                            track.rng, 1, n))
         cohorts.append(np.zeros(n, dtype=np.int64))
     pulses = [0] * len(tracks)
     # In-zone counts change only when a track is pulsed or reset.
@@ -224,10 +235,7 @@ def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
                 k = pulses[t]
                 pulses[t] += 1
                 born = cohorts[t]
-                born[k] = (sample_pulse_count(pulsed.weight, pulsed.stochastic,
-                                              pulsed.rng)
-                           if pulsed.rng is not None
-                           else _deterministic_count(pulsed.weight))
+                born[k] = births[t][k]
                 # held[j]: skyrmions born on pulse j, now k - j pulses old,
                 # that sit in the zone.
                 held = born[:k + 1] * inside[t][k::-1]
@@ -263,7 +271,8 @@ def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
 
     The pulsing phase interleaves one pulse (nucleation plus transport) with
     one voltage sample; the reset phase erases all skyrmions first.  ``rng``
-    supplies both the nucleation draws and the measurement noise.
+    supplies the nucleation draws of every pulse first, then the
+    measurement noise.
     """
     if noise and rng is None:
         raise ProtocolError("noisy protocol needs an rng")

@@ -330,6 +330,30 @@ class TestMonteCarlo:
         want = analytic_sigma(model, 20) / np.sqrt(10)
         assert got == pytest.approx(want, rel=0.05)
 
+    def test_sum_std_at_fractional_weight(self):
+        # The exact std of the M*N-pulse total, normalised by M*N*w: the
+        # weight divides the std as well as scaling the counts.
+        model = StochasticModel(0.4)
+        m, n, w = 4, 5, 2.3
+        pmf = sum_pmf(w, model, m * n)
+        k = np.arange(pmf.size)
+        want = np.sqrt((k - k @ pmf) ** 2 @ pmf) / (m * n * w)
+        got = monte_carlo_sum_relative_std(m, n, model, 20_000, seed=8, w=w)
+        assert got == pytest.approx(want, rel=0.03)
+
+    @pytest.mark.parametrize("m, n_pulse, w, match", [
+        (0, 20, 1.0, "m must"),
+        (-2, 20, 1.0, "m must"),
+        (-2, -10, 1.0, "m must"),
+        (10, 0, 1.0, "n_pulse must"),
+        (10, 20, 0.0, "w must"),
+        (10, 20, -1.0, "w must"),
+    ])
+    def test_sum_std_rejects_bad_arguments(self, m, n_pulse, w, match):
+        with pytest.raises(ValueError, match=match):
+            monte_carlo_sum_relative_std(m, n_pulse, StochasticModel(0.4),
+                                         1000, seed=0, w=w)
+
     def test_input_length_must_match_tracks(self, cal4):
         cfg = two_track(cal4)
         iv = InputVector((PulseTrain(3, J4, T4),) * 3)

@@ -153,6 +153,10 @@ class TestSpecValidation:
         ("pareto", {"pareto.m": [5, 0]}, [], "pareto.m"),
         ("montecarlo_sigma", {"montecarlo_sigma.n_pulses": [[5], [10]]},
          ["--trials", "999"], "montecarlo_sigma.trials"),
+        # A check across parameters and the calibration: 250 GA/m^2 lies
+        # outside the velocity window.
+        ("detection_run", {"detection_run.current_density": [150, 250]},
+         [], "detection_run.current_density"),
     ])
     def test_sweep_resolves_every_spec_first(self, tmp_path, capsys, protocol,
                                              sweep, argv, path):

@@ -21,8 +21,6 @@ from skysum import (
     paper2024,
     pulse_distribution,
     quantize,
-    sample_pulse_count,
-    sample_pulse_counts,
     sample_pulse_sums,
     simulate_cumulative,
     stream,
@@ -49,20 +47,23 @@ class TestStochasticModel:
 
 
 class TestSamplePulseCount:
+    """One pulse's count, drawn as a total over one pulse."""
+
     def test_deterministic_unit_weight(self):
         model = StochasticModel(0.0)
         g = stream(0, "t")
-        assert all(sample_pulse_count(1.0, model, g) == 1 for _ in range(200))
+        assert all(sample_pulse_sums(1.0, model, g, 1, 1)[0] == 1
+                   for _ in range(200))
 
     def test_zero_weight_creates_nothing(self):
         model = StochasticModel(0.9)
-        counts = sample_pulse_counts(0.0, model, stream(1, "z"), (5000,))
+        counts = sample_pulse_sums(0.0, model, stream(1, "z"), 1, 5000)
         assert not counts.any()
 
     def test_unit_weight_distribution(self):
         # p_bar = 0.4 gives {0: 0.2, 1: 0.6, 2: 0.2}.
         model = StochasticModel(0.4)
-        counts = sample_pulse_counts(1.0, model, stream(2, "d"), (200_000,))
+        counts = sample_pulse_sums(1.0, model, stream(2, "d"), 1, 200_000)
         freqs = np.bincount(counts, minlength=3) / counts.size
         assert set(np.unique(counts)) <= {0, 1, 2}
         assert freqs[0] == pytest.approx(0.2, abs=0.01)
@@ -72,26 +73,27 @@ class TestSamplePulseCount:
     def test_fractional_weight_mean(self):
         # w = 2.5, no deviations: half 2s, half 3s, mean 2.5.
         model = StochasticModel(0.0)
-        counts = sample_pulse_counts(2.5, model, stream(3, "f"), (1_000_000,))
+        counts = sample_pulse_sums(2.5, model, stream(3, "f"), 1, 1_000_000)
         assert set(np.unique(counts)) == {2, 3}
         se = 0.5 / math.sqrt(counts.size)
         assert counts.mean() == pytest.approx(2.5, abs=3 * se)
 
     def test_unit_weight_mean_is_exact_in_expectation(self):
         model = StochasticModel(0.6)
-        counts = sample_pulse_counts(1.0, model, stream(4, "m"), (500_000,))
+        counts = sample_pulse_sums(1.0, model, stream(4, "m"), 1, 500_000)
         se = counts.std() / math.sqrt(counts.size)
         assert counts.mean() == pytest.approx(1.0, abs=3 * se)
 
     def test_support_window(self):
         # Support stays within {b-1 .. b+2} of the nominal count.
         model = StochasticModel(1.0)
-        counts = sample_pulse_counts(3.42, model, stream(5, "s"), (100_000,))
+        counts = sample_pulse_sums(3.42, model, stream(5, "s"), 1, 100_000)
         assert counts.min() >= 2 and counts.max() <= 5
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            sample_pulse_count(-0.1, StochasticModel(0.0), stream(0, "n"))
+            sample_pulse_sums(-0.1, StochasticModel(0.0), stream(0, "n"),
+                              1, 1)
 
 
 class TestPulseLaw:
@@ -123,8 +125,8 @@ class TestPulseLaw:
         if w >= 1:
             assert mean == pytest.approx(w, abs=1e-12)
         key = repr((w, p_bar, n_pulses))
-        pulses = sample_pulse_counts(w, model, stream(0, "law", key),
-                                     (LAW_DRAWS,))
+        pulses = sample_pulse_sums(w, model, stream(0, "law", key), 1,
+                                   LAW_DRAWS)
         assert_follows(pulses, sum_pmf(w, model, 1))
         sums = sample_pulse_sums(w, model, stream(0, "sum-law", key),
                                  n_pulses, LAW_DRAWS)
@@ -286,7 +288,7 @@ class TestPbarEstimator:
 
     def test_round_trip(self):
         model = StochasticModel(0.4)
-        counts = sample_pulse_counts(1.0, model, stream(9, "rt"), (10_000,))
+        counts = sample_pulse_sums(1.0, model, stream(9, "rt"), 1, 10_000)
         assert estimate_pbar_from_trace(counts) == pytest.approx(0.4, abs=0.01)
 
     def test_too_few_events(self):

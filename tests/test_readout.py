@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from skysum import (
     mtj_coverage,
     mtj_voltage_from_coverage,
     paper2024,
-    sample_pulse_count,
+    sample_pulse_sums,
     stream,
 )
 from skysum.readout import SequencedTrack, run_phases
@@ -117,7 +118,13 @@ class TestMeasureProtocol:
 
 def replay_phases(plan, tracks, cal, meas_rng, noise):
     """Reference sequencer: each track's skyrmions are advanced, spawned at
-    its notch and crowded as particles, pulse by pulse."""
+    its notch and crowded as particles, pulse by pulse.  Like
+    ``run_phases``, it draws every pulse's births up front, track by
+    track, as one-pulse totals."""
+    births = [iter(sample_pulse_sums(
+        track.weight, track.stochastic, track.rng, 1,
+        sum(s for phase, s, u in plan if phase == "pulsing" and u == t)))
+        for t, track in enumerate(tracks)]
     pops = [SkyrmionPopulation.empty() for _ in tracks]
     in_zone = [0] * len(tracks)
     counts, volts = [], []
@@ -128,8 +135,7 @@ def replay_phases(plan, tracks, cal, meas_rng, noise):
         for _ in range(samples):
             if phase == "pulsing":
                 track = tracks[t]
-                born = sample_pulse_count(track.weight, track.stochastic,
-                                          track.rng)
+                born = int(next(births[t]))
                 single = PulseTrain(1, track.pulse.current_density,
                                     track.pulse.duration)
                 pop = advance(pops[t], single, cal).spawn(born, *track.notch)
@@ -193,7 +199,7 @@ class TestCohortSequencer:
 
     def test_shared_stream_matches_particle_replay(self):
         # measure_protocol draws births and measurement noise from one
-        # stream, so the draws interleave.
+        # stream: all births first, then the noise.
         cal = paper2024()
         specs, plan = REPLAY_CASES["mid-reset"]
         tracks = replay_tracks(5, specs)
@@ -204,6 +210,20 @@ class TestCohortSequencer:
                            noise=True)
         assert trace.n_detec.tolist() == ref_counts
         assert trace.delta_v.tolist() == ref_volts
+
+
+    def test_rng_free_track_raises_only_when_pulsed(self):
+        # Without an rng only an integer weight has a count, and a
+        # fractional weight is an error only on a track the plan pulses.
+        cal = paper2024()
+        tracks = [replace(t, rng=None) for t in replay_tracks(
+            0, [(171.0, 1.0, 0.0, 8.0, 81, True),
+                (150.0, 0.7, 0.0, 18.0, 81, True)])]
+        plan = [("pulsing", 5, 0), ("post", 2, None)]
+        trace = run_phases(plan, tracks, cal)
+        assert trace.n_detec.tolist() == [1, 2, 3, 4, 5, 5, 5]
+        with pytest.raises(ProtocolError, match="fractional weight"):
+            run_phases(plan + [("pulsing", 1, 1)], tracks, cal)
 
 
 class TestDriftCorrect:
