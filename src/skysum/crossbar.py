@@ -11,6 +11,7 @@ the same dc read current.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ MIN_SERIES_RATIO = 50.0
 class CrossbarConfig:
     """Geometry, weights and read circuit of an M x L crossbar.
 
-    weights            (M, L) skyrmions/pulse, non-negative
+    weights            (M, L) skyrmions/pulse, finite and non-negative
     zones              nested (M, L) grid of DetectionZone, one per crossing
     track_resistances  Ohm per track
     series_resistance  Ohm, calibrated resistor at each end of each track
@@ -68,8 +69,8 @@ class CrossbarConfig:
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.weights, dtype=float))
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("weights must be finite and non-negative")
         object.__setattr__(self, "weights", w)
         m, l = w.shape
         zones = tuple(tuple(row) for row in self.zones)
@@ -179,23 +180,58 @@ def expected_sums(config: CrossbarConfig, input_vector: InputVector) -> np.ndarr
 def _draw_columns(config: CrossbarConfig, track: int, windows: np.ndarray,
                   stochastic: StochasticModel, rng: np.random.Generator,
                   size: int) -> np.ndarray:
-    """(size, L) in-zone counts of one track from its windows.
+    """(L, size) in-zone counts of one track from its windows, one row per
+    column.
 
     ``windows[s, j]`` pulses of site s leave their skyrmion in zone j, so
     each window adds an exact sum of that many pulses at weight ``w_s`` to
-    column j.  A window of zero pulses or zero weight draws nothing.  Each
-    crossing is clamped at its zone's capacity when the config enforces it.
+    column j.  A window of zero pulses or zero weight draws nothing; the
+    others are drawn by one ``sample_pulse_sums`` call in (s, j) order.
+    Each crossing is clamped at its zone's capacity when the config
+    enforces it.
     """
     weights = config.weights[track]
-    counts = np.zeros((size, config.l_columns), dtype=np.int64)
-    for s, j in zip(*np.nonzero(windows)):
-        if weights[s]:
-            counts[:, j] += sample_pulse_sums(weights[s], stochastic, rng,
-                                              windows[s, j], size)
+    s, j = np.nonzero(windows * (weights > 0)[:, None])
+    sums = sample_pulse_sums(weights[s], stochastic, rng, windows[s, j],
+                             size).T
+    counts = np.zeros((config.l_columns, size), dtype=np.int64)
+    # The windows on one diagonal (one j - s) lie in distinct columns, so
+    # each diagonal is one fancy-index add.
+    diagonal = j - s
+    for d in set(diagonal.tolist()):
+        on = diagonal == d
+        counts[j[on]] += sums[on]
     if config.enforce_capacity:
-        np.minimum(counts, [z.capacity for z in config.zones[track]],
+        np.minimum(counts, [[z.capacity] for z in config.zones[track]],
                    out=counts)
     return counts
+
+
+@functools.lru_cache(maxsize=256)
+def _windows(zones_row: tuple, pulse: PulseTrain,
+             cal: DeviceCalibration) -> np.ndarray | None:
+    """Read-only (L, L) windows of a zone row under a pulse train: entry
+    [s, j] counts the pulses whose skyrmion, born at site s, is in zone j
+    when the train ends.
+
+    Every pulse moves every skyrmion by the same step, so the skyrmion born
+    at site s on the k-th of N pulses ends where its site's ``trajectory``
+    is after N-1-k pulses.  A skyrmion crowded out of a full zone is parked
+    ``CAPACITY_DISPLACEMENT_UM`` past it, so the zones must be further
+    apart than that for the capacity clamp to be exact; a row whose zones
+    are not gives None.
+    """
+    edges = sorted(zone.bounds[:2] for zone in zones_row)
+    if any(b[0] - a[1] <= CAPACITY_DISPLACEMENT_UM
+           for a, b in zip(edges, edges[1:])):
+        return None
+    sites = np.column_stack([[zone.bounds[0] for zone in zones_row],
+                             np.full(len(zones_row), cal.notch_y)])
+    x, y, alive = trajectory(sites, pulse, cal, pulse.count)
+    windows = np.column_stack([(alive & zone.contains(x, y)).sum(axis=0)
+                               for zone in zones_row]).astype(np.int64)
+    windows.flags.writeable = False
+    return windows
 
 
 def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
@@ -204,25 +240,16 @@ def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
                           rng: np.random.Generator) -> np.ndarray:
     """In-zone counts per column after running one track's pulse train.
 
-    Every pulse moves every skyrmion by the same step, so the skyrmion born
-    at site s on the k-th of N pulses ends where its site's ``trajectory``
-    is after N-1-k pulses.  Counting those ages per zone gives the windows
-    that ``_draw_columns`` samples.  A skyrmion crowded out of a full zone
-    is parked ``CAPACITY_DISPLACEMENT_UM`` past it, so the zones must be
-    further apart than that for the clamp to be exact.
+    The track's windows come from ``_windows``, computed once per zone row
+    and pulse train, and ``_draw_columns`` samples them.  A row whose zones
+    are too close for the capacity clamp is refused before anything is
+    drawn.
     """
-    zones_row = config.zones[track]
-    edges = sorted(zone.bounds[:2] for zone in zones_row)
-    if any(b[0] - a[1] <= CAPACITY_DISPLACEMENT_UM
-           for a, b in zip(edges, edges[1:])):
+    windows = _windows(config.zones[track], pulse, cal)
+    if windows is None:
         raise ValueError(f"zones of track {track} overlap or lie within "
                          f"{CAPACITY_DISPLACEMENT_UM} um of each other")
-    sites = np.column_stack([[zone.bounds[0] for zone in zones_row],
-                             np.full(len(zones_row), cal.notch_y)])
-    x, y, alive = trajectory(sites, pulse, cal, pulse.count)
-    windows = np.column_stack([(alive & zone.contains(x, y)).sum(axis=0)
-                               for zone in zones_row])
-    return _draw_columns(config, track, windows, stochastic, rng, 1)[0]
+    return _draw_columns(config, track, windows, stochastic, rng, 1)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -288,11 +315,11 @@ def monte_carlo_column_counts(config: CrossbarConfig, input_vector: InputVector,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ideal = np.eye(config.l_columns, dtype=np.int64)
-    totals = np.zeros((trials, config.l_columns), dtype=np.int64)
+    totals = np.zeros((config.l_columns, trials), dtype=np.int64)
     for i, n in enumerate(pulses):
         totals += _draw_columns(config, i, n * ideal, stochastic,
                                 stream(seed, "track", i), trials)
-    return totals
+    return np.ascontiguousarray(totals.T)
 
 
 def current_uniformity(track_resistances, series_resistance: float) -> float:

@@ -14,12 +14,17 @@ only definition of that law, and ``sample_pulse_sums`` the only sampler:
 it draws totals with no per-pulse array, a batch by inverse CDF from a
 cached table (O(log N) per total after the one-off table) and a single
 total from one multinomial.  A pulse-by-pulse record is a batch of
-one-pulse totals.
+one-pulse totals.  Both take arrays too: ``pulse_distribution`` gives the
+laws of an array of weights, and ``sample_pulse_sums`` draws the totals of
+K (weight, pulse count) entries in one call, entry after entry on the
+stream, so one call draws exactly what K scalar calls would.  The
+crossbar draws all the windows of a track this way.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -54,30 +59,32 @@ class StochasticModel:
         return self.p_bar / 2.0, self.p_bar / 2.0
 
 
-def pulse_distribution(w: float, model: StochasticModel
+def pulse_distribution(w, model: StochasticModel
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of one pulse's count as (values, probabilities).
+    """Exact law of one pulse's count as (values, probabilities), each of
+    shape ``(..., 4)`` for a weight or an array of weights ``w``.
 
     The outcomes are ``max(floor(w) - 1 + k, 0)`` for k = 0..3: nominal
     count ``floor(w)`` or ``floor(w) + 1`` (probability ``frac(w)``), then
     a -1/0/+1 deviation, clamped at zero per pulse.  Values may repeat
-    where the clamp folds -1 onto 0.  At exactly zero weight the single
-    outcome is 0: the device is at its cutoff field and there is no
-    attempt for the thermal fluctuation to act on.
+    where the clamp folds -1 onto 0.  At exactly zero weight every outcome
+    is 0: the device is at its cutoff field and there is no attempt for
+    the thermal fluctuation to act on.
     """
-    if w < 0:
-        raise ValueError("weight must be >= 0")
-    if w == 0:
-        return np.zeros(1, dtype=np.int64), np.ones(1)
-    base = math.floor(w)
-    frac = w - base
+    w = np.asarray(w, dtype=float)[..., None]
+    if not ((w >= 0) & (w < np.inf)).all():
+        raise ValueError("weight must be finite and >= 0")
     p_minus, p_plus = model.deviation_probabilities()
     p_stay = 1.0 - p_minus - p_plus
-    probs = np.array([(1.0 - frac) * p_minus,
-                      (1.0 - frac) * p_stay + frac * p_minus,
-                      (1.0 - frac) * p_plus + frac * p_stay,
-                      frac * p_plus])
-    values = np.maximum(np.arange(base - 1, base + 3, dtype=np.int64), 0)
+    base = np.floor(w)
+    frac = w - base
+    probs = ((1.0 - frac) * [p_minus, p_stay, p_plus, 0.0]
+             + frac * [0.0, p_minus, p_stay, p_plus])
+    values = np.maximum(base.astype(np.int64) + np.arange(-1, 3), 0)
+    zero = w[..., 0] == 0
+    if zero.any():
+        values[zero] = 0
+        probs[zero] = (1.0, 0.0, 0.0, 0.0)
     return values, probs
 
 
@@ -107,28 +114,57 @@ def _sum_cdf(w: float, p_bar: float, n_pulses: int
     return int(values[0]) * n_pulses, cdf
 
 
-def sample_pulse_sums(w: float, model: StochasticModel,
-                      rng: np.random.Generator, n_pulses: int,
-                      size) -> np.ndarray:
-    """Total count of ``n_pulses`` independent pulses, ``size`` times.
+def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
+                      n_pulses, size: int) -> np.ndarray:
+    """Total count of ``n_pulses`` independent pulses at weight ``w``,
+    ``size`` times: shape ``(size,)``.  Given 1-D arrays ``w`` and
+    ``n_pulses`` of K entries, entry k totals ``n_pulses[k]`` pulses at
+    ``w[k]`` and the result has shape ``(size, K)``.
 
-    The totals follow the exact law of the sum.  A batch at least as long
-    as the law's support, for a support of at most MC_BLOCK values, draws
-    each total with one uniform against the CDF from ``_sum_cdf``: O(log N)
-    per total once the table is built, and later batches of the same law
-    reuse it.  The cap bounds a table's memory and its one-off build time,
-    which grows with the square of its length.  Any other draw, such as
-    one total per crossing of the kinematic crossbar, takes the number of
-    pulses landing on each outcome of ``pulse_distribution`` from one
-    multinomial.  The choice depends only on the arguments, so the random
-    stream does not depend on the cache.
+    The totals follow the exact law of the sum.  An entry whose batch is
+    at least as long as its law's support, for a support of at most
+    MC_BLOCK values, draws each total with one uniform against the CDF
+    from ``_sum_cdf``: O(log N) per total once the table is built, and
+    later batches of the same law reuse it.  The cap bounds a table's
+    memory and its one-off build time, which grows with the square of its
+    length.  Any other entry, such as a window of the kinematic crossbar
+    drawn once, takes the number of pulses landing on each outcome of
+    ``pulse_distribution`` from a multinomial.  The choice depends only on
+    the arguments, so the random stream does not depend on the cache.
+
+    Entries consume the stream one after another, so the array form draws
+    exactly what a loop of scalar calls over its entries would.  Each run
+    of consecutive multinomial entries is one window-major multinomial
+    call (entry by entry, then total by total).
     """
-    values, probs = pulse_distribution(w, model)
-    span = (values[-1] - values[0]) * n_pulses   # table length - 1
-    if span < size and span < MC_BLOCK:
-        offset, cdf = _sum_cdf(float(w), float(model.p_bar), int(n_pulses))
-        return offset + np.searchsorted(cdf, rng.random(size), side="right")
-    return rng.multinomial(n_pulses, probs, size=size) @ values
+    weights = np.asarray(w, dtype=float)
+    n = np.asarray(n_pulses, dtype=np.int64)
+    scalar = weights.ndim == n.ndim == 0
+    weights, n = weights.reshape(-1), n.reshape(-1)
+    if (n < 0).any():
+        raise ValueError("n_pulses must be >= 0")
+    values, probs = pulse_distribution(weights, model)
+    span = (values[:, -1] - values[:, 0]) * n   # table length - 1
+    totals = []
+    start = 0
+    for on_table, group in itertools.groupby(
+            ((span < size) & (span < MC_BLOCK)).tolist()):
+        stop = start + len(list(group))
+        if on_table:
+            for k in range(start, stop):
+                offset, cdf = _sum_cdf(float(weights[k]), float(model.p_bar),
+                                       int(n[k]))
+                totals.append(offset + np.searchsorted(cdf, rng.random(size),
+                                                       side="right"))
+        else:
+            run = slice(start, stop)
+            draws = rng.multinomial(n[run, None], probs[run, None, :],
+                                    size=(stop - start, size))
+            totals.extend(np.einsum("ksv,kv->ks", draws, values[run]))
+        start = stop
+    if scalar:
+        return totals[0]
+    return np.array(totals, dtype=np.int64).reshape(n.size, size).T
 
 
 def simulate_cumulative(w: float, model: StochasticModel, n_pulses: int,

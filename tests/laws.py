@@ -1,8 +1,10 @@
-"""Exact pulse-sum laws and a chi-squared check against them."""
+"""Exact pulse-sum laws, a chi-squared check against them, and a
+window-by-window reference for the crossbar's count draws."""
 
 import numpy as np
 
-from skysum import pulse_distribution
+from skysum import pulse_distribution, sample_pulse_sums, stream
+from skysum.transport import trajectory
 
 #: Upper 1e-6 quantile of chi-squared with 7 degrees of freedom.  Outcomes
 #: are merged into at most 8 bins and the quantile grows with the degrees
@@ -43,3 +45,47 @@ def assert_follows(samples, pmf):
     expected = samples.size * np.array(bins_p)
     chi2 = float(np.sum((np.array(bins_o) - expected) ** 2 / expected))
     assert chi2 < CHI2_CRIT
+
+
+def trajectory_windows(zones, pulse, cal):
+    """(L, L) windows of one zone row: entry [s, j] counts the pulses whose
+    skyrmion, born at site s, is inside zone j after the train."""
+    sites = [(zone.bounds[0], cal.notch_y) for zone in zones]
+    x, y, alive = trajectory(sites, pulse, cal, pulse.count)
+    return np.array([[np.sum(alive[:, s] & zone.contains(x[:, s], y[:, s]))
+                      for zone in zones] for s in range(len(zones))])
+
+
+def draw_windows(config, track, windows, model, rng, size):
+    """(size, L) counts of one track, one scalar ``sample_pulse_sums`` call
+    per window of non-zero pulses and weight in ``np.nonzero`` (s, j)
+    order, clamped at each zone's capacity when the config enforces it."""
+    weights = config.weights[track]
+    counts = np.zeros((size, config.l_columns), dtype=np.int64)
+    for s, j in zip(*np.nonzero(windows)):
+        if weights[s]:
+            counts[:, j] += sample_pulse_sums(weights[s], model, rng,
+                                              windows[s, j], size)
+    if config.enforce_capacity:
+        counts = np.minimum(counts, [z.capacity for z in config.zones[track]])
+    return counts
+
+
+def window_weighted_sum(config, input_vector, model, cal, seed):
+    """(M, L) ``per_track`` of a kinematic weighted sum, drawn window by
+    window over each track's ``trajectory`` from its (seed, "track", i)
+    stream."""
+    return np.array([
+        draw_windows(config, i, trajectory_windows(config.zones[i], pulse,
+                                                   cal),
+                     model, stream(seed, "track", i), 1)[0]
+        for i, pulse in enumerate(input_vector.pulses_per_track)])
+
+
+def window_column_counts(config, input_vector, model, trials, seed):
+    """(trials, L) summed column counts under ideal transport, drawn window
+    by window: all N pulses of site j land in zone j."""
+    ideal = np.eye(config.l_columns, dtype=np.int64)
+    return sum(draw_windows(config, i, pulse.count * ideal, model,
+                            stream(seed, "track", i), trials)
+               for i, pulse in enumerate(input_vector.pulses_per_track))

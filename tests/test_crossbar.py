@@ -22,7 +22,8 @@ from skysum import (
     run_weighted_sum,
     stream,
 )
-from skysum.crossbar import simulate_track_counts
+from skysum.crossbar import _windows, simulate_track_counts
+from skysum.nucleation import MC_BLOCK, pulse_distribution
 from skysum.transport import (
     SkyrmionPopulation,
     advance,
@@ -30,7 +31,13 @@ from skysum.transport import (
     count_in_zone,
 )
 
-from laws import assert_follows, sum_pmf
+from laws import (
+    assert_follows,
+    sum_pmf,
+    trajectory_windows,
+    window_column_counts,
+    window_weighted_sum,
+)
 
 J4 = 116.0  # two-track operating density; v = 1.64 m/s keeps spans short
 T4 = 50.0
@@ -87,6 +94,11 @@ class TestConfig:
     def test_negative_weight_rejected(self, cal4):
         with pytest.raises(ValueError):
             two_track(cal4, w=(1.0, -0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, cal4, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            build_crossbar(cal4, [[bad, 1.0]])
 
     def test_series_ratio_enforced(self, cal4):
         with pytest.raises(ValueError):
@@ -311,6 +323,110 @@ class TestCohortPlacement:
         with pytest.raises(ValueError):
             run_weighted_sum(cfg, InputVector((PulseTrain(5, J4, T4),)),
                              StochasticModel(0.4), cal4)
+
+
+def _lossy_at(current):
+    def make(cal4):
+        cal, cfg, pulse = _lossy(cal4)
+        return cal, cfg, dataclasses.replace(pulse, current_density=current)
+    return make
+
+
+class TestStreamIdentity:
+    """One sampler call per track draws, bit for bit, what one scalar call
+    per window drew on the same per-track streams."""
+
+    @pytest.mark.parametrize("make", [
+        _lossless, _lossy, _lossy_at(150.0), _lossy_at(200.0), _crowded,
+        _lossy_crowded,
+    ], ids=["lossless", "lossy-171", "lossy-150", "lossy-200", "capacity",
+            "lossy-capacity"])
+    def test_weighted_sum_equals_window_loop(self, cal4, make):
+        cal, cfg, pulse = make(cal4)
+        weights = cfg.weights.copy()
+        weights[:, ::3] = 0.0
+        weights[:, 1::3] += 0.37   # fractional, some above 1
+        cfg = dataclasses.replace(cfg, weights=weights)
+        iv = InputVector(tuple(
+            dataclasses.replace(pulse, count=max(pulse.count - 9 * i, 0))
+            for i in range(cfg.m_tracks)))
+        model = StochasticModel(0.4)
+        for seed in range(3):
+            res = run_weighted_sum(cfg, iv, model, cal, seed=seed)
+            ref = window_weighted_sum(cfg, iv, model, cal, seed)
+            np.testing.assert_array_equal(res.per_track, ref)
+
+    @pytest.mark.parametrize("trials", [1, 1000])
+    def test_column_counts_equal_window_loop(self, cal4, trials):
+        weights = np.random.default_rng(3).uniform(0.0, 3.0, (4, 3))
+        weights[1, 2] = 0.0
+        cfg = build_crossbar(cal4, weights, capacity=60)
+        iv = InputVector(tuple(PulseTrain(n, J4, T4) for n in (0, 10, 40, 3)))
+        model = StochasticModel(0.4)
+        np.testing.assert_array_equal(
+            monte_carlo_column_counts(cfg, iv, model, trials, seed=9),
+            window_column_counts(cfg, iv, model, trials, seed=9))
+
+    def test_mixed_branch_call_equals_window_loop(self, cal4):
+        # 400 pulses: weights below 1 span 2N = 800 < 1000 trials and take
+        # the table, weights above 1 span 3N = 1200 and take the
+        # multinomial, so one track's call alternates between the two.
+        n, trials = 400, 1000
+        weights = [[0.5, 1.5, 2.0, 0.3, 0.7, 1.2]]
+        values, _ = pulse_distribution(np.array(weights[0]),
+                                       StochasticModel(0.4))
+        span = (values[:, -1] - values[:, 0]) * n
+        assert (span < trials).tolist() == [True, False, False, True, True,
+                                            False]
+        assert span.max() < MC_BLOCK
+        cfg = build_crossbar(cal4, weights, zone_start_x=1.0, zone_pitch=6.5,
+                             enforce_capacity=False)
+        iv = InputVector((PulseTrain(n, J4, T4),))
+        model = StochasticModel(0.4)
+        np.testing.assert_array_equal(
+            monte_carlo_column_counts(cfg, iv, model, trials, seed=2),
+            window_column_counts(cfg, iv, model, trials, seed=2))
+
+
+class TestWindowCache:
+    def test_windows_are_read_only_and_shared(self, cal4):
+        _, cfg, pulse = _lossless(cal4)
+        _windows.cache_clear()
+        run_weighted_sum(cfg, InputVector((pulse,) * 2), StochasticModel(0.4),
+                         cal4, seed=0)
+        info = _windows.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        windows = _windows(cfg.zones[0], pulse, cal4)
+        assert windows.dtype == np.int64
+        with pytest.raises(ValueError):
+            windows[0, 0] = 1
+
+    def test_trains_give_their_own_windows(self, cal4):
+        cal, cfg, pulse = _lossy(cal4)
+        row = cfg.zones[0]
+        trains = [pulse, dataclasses.replace(pulse, count=12),
+                  dataclasses.replace(pulse, current_density=150.0)]
+        got = [_windows(row, train, cal) for train in trains]
+        for train, windows in zip(trains, got):
+            np.testing.assert_array_equal(
+                windows, trajectory_windows(row, train, cal))
+        assert not np.array_equal(got[0], got[1])
+        assert not np.array_equal(got[0], got[2])
+
+    def test_tracks_with_different_trains(self, cal4):
+        # Integer weights at p_bar = 0: each crossing counts exactly
+        # sum_s w_s K[s, j] with its own track's windows.
+        cal, cfg, pulse = _lossy(cal4)
+        cfg = dataclasses.replace(cfg, weights=np.ones((3, 16)),
+                                  enforce_capacity=False)
+        trains = (pulse, dataclasses.replace(pulse, count=12),
+                  dataclasses.replace(pulse, current_density=150.0))
+        res = run_weighted_sum(cfg, InputVector(trains), StochasticModel(0.0),
+                               cal, seed=0)
+        want = [trajectory_windows(cfg.zones[i], train, cal).sum(axis=0)
+                for i, train in enumerate(trains)]
+        np.testing.assert_array_equal(res.per_track, want)
+        assert len({tuple(row) for row in want}) == 3
 
 
 class TestMonteCarlo:

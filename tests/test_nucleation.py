@@ -219,6 +219,60 @@ class TestSumKernels:
         assert info.misses == info.currsize == len(laws)
 
 
+class TestArrayForm:
+    """K (weight, pulse count) entries in one call: one column per entry."""
+
+    @settings(deadline=None)
+    @given(entries=st.lists(st.tuples(st.floats(0.0, 4.0),
+                                      st.integers(0, 60)), max_size=8),
+           p_bar=st.floats(0.0, 1.0), size=st.integers(0, 200),
+           seed=st.integers(0, 2**32 - 1))
+    @example(entries=[(1.0, 40), (0.5, 30), (2.3, 50)], p_bar=0.4, size=10,
+             seed=0)
+    @example(entries=[(0.5, 40), (1.5, 40), (0.0, 40), (2.0, 0), (0.3, 40)],
+             p_bar=0.4, size=100, seed=1)
+    def test_equals_scalar_loop(self, entries, p_bar, size, seed):
+        # The same totals as one scalar call per entry on the same stream,
+        # and the stream is left in the same state.
+        model = StochasticModel(p_bar)
+        w = np.array([e[0] for e in entries], dtype=float)
+        n = np.array([e[1] for e in entries], dtype=np.int64)
+        g, ref = stream(seed, "array"), stream(seed, "array")
+        got = sample_pulse_sums(w, model, g, n, size)
+        want = np.empty((size, len(entries)), dtype=np.int64)
+        for k, (wk, nk) in enumerate(entries):
+            want[:, k] = sample_pulse_sums(wk, model, ref, nk, size)
+        assert got.shape == (size, len(entries))
+        np.testing.assert_array_equal(got, want)
+        assert g.random() == ref.random()
+
+    def test_laws_of_an_array_of_weights(self):
+        model = StochasticModel(0.4)
+        w = np.array([0.0, 0.25, 1.0, 2.3])
+        values, probs = pulse_distribution(w, model)
+        assert values.shape == probs.shape == (4, 4)
+        for k, wk in enumerate(w):
+            v, p = pulse_distribution(wk, model)
+            np.testing.assert_array_equal(values[k], v)
+            np.testing.assert_array_equal(probs[k], p)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, [1.0, np.nan]])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            pulse_distribution(w, StochasticModel(0.4))
+
+    @pytest.mark.parametrize("n_pulses, size", [(-1, 10), (-5, 1),
+                                                ([3, -2], 4)])
+    def test_negative_pulse_count_rejected(self, n_pulses, size):
+        # A negative count used to take the table branch and never return.
+        w = np.ones(np.shape(n_pulses))
+        g = stream(0, "neg")
+        with pytest.raises(ValueError, match="n_pulses"):
+            sample_pulse_sums(w if w.ndim else 1.0, StochasticModel(0.4), g,
+                              n_pulses, size)
+        assert g.random() == stream(0, "neg").random()
+
+
 class TestSigma:
     def test_analytic_values(self):
         assert analytic_sigma(StochasticModel(0.0), 50) == 0.0
