@@ -12,8 +12,8 @@ independent pulses is exactly multinomial over them, or equivalently the
 N-fold convolution of the one-pulse law.  ``pulse_distribution`` is the
 only definition of that law, and ``sample_pulse_sums`` the only sampler:
 it draws totals with no per-pulse array, a batch by inverse CDF from a
-cached table (O(log N) per total after the one-off table) and a single
-total from one multinomial.  A pulse-by-pulse record is a batch of
+cached table, placed by a guided lookup mostly in one comparison, and a
+single total from one multinomial.  A pulse-by-pulse record is a batch of
 one-pulse totals.  Both take arrays too: ``pulse_distribution`` gives the
 laws of an array of weights, and ``sample_pulse_sums`` draws the totals of
 K (weight, pulse count) entries in one call, entry after entry on the
@@ -89,13 +89,30 @@ def pulse_distribution(w, model: StochasticModel
 
 
 @functools.lru_cache(maxsize=1024)
+def _pulse_law(w: float, p_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``pulse_distribution`` of one weight, for scalar draws."""
+    law = pulse_distribution(w, StochasticModel(p_bar))
+    law[0].flags.writeable = law[1].flags.writeable = False
+    return law
+
+
+def _on_table(values: np.ndarray, n, size: int):
+    """Whether ``size`` totals of ``n`` pulses with outcomes ``values``
+    (..., 4) come from a table: as many as the support, of <= MC_BLOCK."""
+    return (values[..., -1] - values[..., 0]) * n < min(size, MC_BLOCK)
+
+
+@functools.lru_cache(maxsize=1024)
 def _sum_cdf(w: float, p_bar: float, n_pulses: int
-             ) -> tuple[int, np.ndarray]:
-    """(offset, cdf) of the total of ``n_pulses`` pulses, from the n-fold
-    convolution of ``pulse_distribution`` by repeated squaring.  Entry k
-    of the read-only ``cdf`` is P(total <= offset + k); the last is
-    ``inf``, so every uniform in [0, 1) lands in the support.  The cache
-    holds the ~560 laws of a quantised 15-state layer at up to 40 pulses.
+             ) -> tuple[int, np.ndarray, np.ndarray]:
+    """(offset, cdf, guide) of the total of ``n_pulses`` pulses, from the
+    n-fold convolution of ``pulse_distribution`` by repeated squaring.
+    Entry k of ``cdf`` is P(total <= offset + k); the last is ``inf``, so
+    every uniform in [0, 1) lands in the support.  Entry g of ``guide`` is
+    ``searchsorted(cdf, g / B, "right")`` for B >= 2 * cdf.size buckets, a
+    power of two so ``u * B`` is exact; at one byte up to 256 totals and
+    two up to MC_BLOCK, it never outweighs the cdf.  Both are read-only.
+    The cache holds the ~560 laws of a 15-state layer at up to 40 pulses.
     """
     values, probs = pulse_distribution(w, StochasticModel(p_bar))
     power = np.bincount(values - values[0], weights=probs)
@@ -110,8 +127,24 @@ def _sum_cdf(w: float, p_bar: float, n_pulses: int
     cdf = np.cumsum(pmf)
     cdf /= cdf[-1]
     cdf[-1] = np.inf
-    cdf.flags.writeable = False
-    return int(values[0]) * n_pulses, cdf
+    buckets = 2 << (cdf.size - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+    guide = guide.astype(np.min_scalar_type(cdf.size - 1))
+    cdf.flags.writeable = guide.flags.writeable = False
+    return int(values[0]) * n_pulses, cdf, guide
+
+
+def _lookup(table: tuple, u: np.ndarray) -> np.ndarray:
+    """``offset + searchsorted(cdf, u, side="right")`` bit for bit for the
+    ``_sum_cdf`` table (offset, cdf, guide), by indexed search (Chen &
+    Asau, 1974): a uniform in bucket g lands at or after ``guide[g]``; one
+    test there settles most, searchsorted the rest.
+    """
+    offset, cdf, guide = table
+    idx = guide.take((u * guide.size).astype(np.intp))
+    t = np.flatnonzero(cdf.take(idx) <= u)
+    idx[t] = cdf.searchsorted(u[t], side="right")
+    return np.add(idx, offset, dtype=np.int64)
 
 
 def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
@@ -123,48 +156,54 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
 
     The totals follow the exact law of the sum.  An entry whose batch is
     at least as long as its law's support, for a support of at most
-    MC_BLOCK values, draws each total with one uniform against the CDF
-    from ``_sum_cdf``: O(log N) per total once the table is built, and
-    later batches of the same law reuse it.  The cap bounds a table's
-    memory and its one-off build time, which grows with the square of its
-    length.  Any other entry, such as a window of the kinematic crossbar
-    drawn once, takes the number of pulses landing on each outcome of
-    ``pulse_distribution`` from a multinomial.  The choice depends only on
-    the arguments, so the random stream does not depend on the cache.
+    MC_BLOCK values, draws each total with one uniform placed by
+    ``_lookup`` in the cached ``_sum_cdf`` table, mostly in one test.  The
+    cap bounds a table's memory and its one-off build time, quadratic in
+    its length.  Any other entry, such as a window of the kinematic
+    crossbar drawn once, takes the number of pulses landing on each
+    outcome of ``pulse_distribution`` from a multinomial.  The choice
+    depends only on the arguments, so the random stream does not depend
+    on the cache.
 
     Entries consume the stream one after another, so the array form draws
     exactly what a loop of scalar calls over its entries would.  Each run
-    of consecutive multinomial entries is one window-major multinomial
-    call (entry by entry, then total by total).
+    of consecutive table entries is one ``rng.random`` call, written into
+    the run's rows of the output and looked up row by row, so no other
+    temporary outgrows one batch; each run of multinomial entries is one
+    window-major multinomial call.  A scalar call reads its law from a
+    cache and skips the array bookkeeping.
     """
     weights = np.asarray(w, dtype=float)
     n = np.asarray(n_pulses, dtype=np.int64)
-    scalar = weights.ndim == n.ndim == 0
-    weights, n = weights.reshape(-1), n.reshape(-1)
+    p_bar = float(model.p_bar)
     if (n < 0).any():
         raise ValueError("n_pulses must be >= 0")
+    if weights.ndim == n.ndim == 0:
+        w, n = float(weights), int(n)
+        values, probs = _pulse_law(w, p_bar)
+        if not _on_table(values, n, size):
+            return rng.multinomial(n, probs, size=size) @ values
+        return _lookup(_sum_cdf(w, p_bar, n), rng.random(size))
+    weights, n = weights.reshape(-1), n.reshape(-1)
     values, probs = pulse_distribution(weights, model)
-    span = (values[:, -1] - values[:, 0]) * n   # table length - 1
-    totals = []
+    totals = np.empty((n.size, size), dtype=np.int64)
     start = 0
     for on_table, group in itertools.groupby(
-            ((span < size) & (span < MC_BLOCK)).tolist()):
+            _on_table(values, n, size).tolist()):
         stop = start + len(list(group))
+        run = slice(start, stop)
         if on_table:
-            for k in range(start, stop):
-                offset, cdf = _sum_cdf(float(weights[k]), float(model.p_bar),
-                                       int(n[k]))
-                totals.append(offset + np.searchsorted(cdf, rng.random(size),
-                                                       side="right"))
+            u = totals[run].view(np.float64)   # drawn in place of the totals
+            rng.random(out=u)
+            for k, wk, nk in zip(range(start, stop), weights[run].tolist(),
+                                 n[run].tolist()):
+                totals[k] = _lookup(_sum_cdf(wk, p_bar, nk), u[k - start])
         else:
-            run = slice(start, stop)
             draws = rng.multinomial(n[run, None], probs[run, None, :],
                                     size=(stop - start, size))
-            totals.extend(np.einsum("ksv,kv->ks", draws, values[run]))
+            totals[run] = np.einsum("ksv,kv->ks", draws, values[run])
         start = stop
-    if scalar:
-        return totals[0]
-    return np.array(totals, dtype=np.int64).reshape(n.size, size).T
+    return totals.T
 
 
 def simulate_cumulative(w: float, model: StochasticModel, n_pulses: int,

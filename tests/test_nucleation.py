@@ -26,7 +26,7 @@ from skysum import (
     stream,
 )
 from skysum.crossbar import monte_carlo_column_counts
-from skysum.nucleation import MC_BLOCK, _sum_cdf
+from skysum.nucleation import MC_BLOCK, _lookup, _pulse_law, _sum_cdf
 
 from laws import assert_follows, sum_pmf
 
@@ -184,10 +184,71 @@ class TestSumKernels:
             np.testing.assert_array_equal(a, b)
 
     def test_table_is_read_only(self):
-        offset, cdf = _sum_cdf(2.3, 0.4, 10)
+        offset, cdf, guide = _sum_cdf(2.3, 0.4, 10)
         assert offset == 10 and cdf.size == 31 and cdf[-1] == np.inf
         with pytest.raises(ValueError):
             cdf[0] = 0.0
+        with pytest.raises(ValueError):
+            guide[0] = 1
+        for a in _pulse_law(2.3, 0.4):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    @pytest.mark.parametrize("w, p_bar, n_pulses", [
+        (0.0, 0.4, 5), (2.3, 1.0, 0), (1.0, 0.0, 1), (1.0, 0.4, 1),
+        (2.3, 0.4, 10), (0.5, 0.4, 40), (1.0, 0.4, 85), (0.5, 0.4, 128),
+        (1.0, 0.2, 1000), (1.0, 0.4, 2730),
+    ])
+    def test_guide_never_outweighs_its_table(self, w, p_bar, n_pulses):
+        # Entry g of the guide is where the search for a uniform in
+        # [g / B, (g + 1) / B) may start, for a power of two B of at least
+        # twice the table length.  It takes one byte per bucket up to 256
+        # totals and two above, so it costs no more bytes than the cdf.
+        # 85 pulses at w = 1 give 256 totals and 128 at w = 0.5 give 257;
+        # 2730 at w = 1 give 8191, the longest table below MC_BLOCK.
+        _, cdf, guide = _sum_cdf(w, p_bar, n_pulses)
+        buckets = guide.size
+        assert buckets & (buckets - 1) == 0 and buckets >= 2 * cdf.size
+        assert guide.dtype == (np.uint8 if cdf.size <= 256 else np.uint16)
+        assert guide.nbytes <= cdf.nbytes
+        np.testing.assert_array_equal(guide, np.searchsorted(
+            cdf, np.arange(buckets) / buckets, side="right"))
+        assert cdf.size <= MC_BLOCK
+
+    @settings(deadline=None)
+    @given(laws=st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 60)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1))
+    @example(laws=[(0.0, 0.4, 5)], seed=0)
+    @example(laws=[(1.0, 0.2, 1000), (2.3, 1.0, 0), (0.5, 0.0, 7),
+                   (1.0, 0.4, 1)], seed=1)
+    @example(laws=[(4.0, 0.4, 60)], seed=2)
+    def test_lookup_equals_searchsorted(self, laws, seed):
+        # The guided lookup places every uniform where searchsorted does,
+        # including 0, the largest double below 1, every finite cdf entry
+        # and the double just below it.  A point mass has the one-entry
+        # table [inf].  1000 pulses at w = 1, p_bar = 0.2 put 525 entries
+        # in the first of 8192 buckets and 1948 in the last.  60 pulses at
+        # w = 4 give totals 180..360 from a one-byte guide.
+        tables = [_sum_cdf(w, p_bar, n) for w, p_bar, n in laws]
+        rows = []
+        for _, cdf, _ in tables:
+            edges = cdf[cdf < 1.0]
+            row = np.concatenate([[0.0, 1 - 2**-53], edges,
+                                  np.nextafter(edges, 0)])
+            rows.append(row[row >= 0.0])
+        u = np.random.default_rng(seed).random(
+            (len(rows), max(r.size for r in rows) + 64))
+        for k, row in enumerate(rows):
+            u[k, :row.size] = row
+        want = [offset + np.searchsorted(cdf, uk, side="right")
+                for (offset, cdf, _), uk in zip(tables, u)]
+        got = [_lookup(table, uk) for table, uk in zip(tables, u)]
+        np.testing.assert_array_equal(got, want)
+        if laws[0][0] == 0.0 or laws[0][2] == 0:
+            assert tables[0][1].tolist() == [np.inf]
 
     def test_no_table_longer_than_a_block(self):
         # 3001 pulses at w = 1 have 9004 possible totals, more than
