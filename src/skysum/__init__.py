@@ -70,6 +70,7 @@ from .nucleation import (
     fit_weight,
     monte_carlo_sigma,
     pulse_distribution,
+    pulse_totals,
     sample_pulse_sums,
     simulate_cumulative,
 )

@@ -22,7 +22,14 @@ from .device import (
     PulseTrain,
 )
 from .errors import ProtocolError
-from .nucleation import StochasticModel, monte_carlo_sigma, sample_pulse_sums
+from .nucleation import (
+    MC_BLOCK,
+    StochasticModel,
+    _block_edges,
+    monte_carlo_sigma,
+    pulse_totals,
+    sample_pulse_sums,
+)
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     MeasurementTrace,
@@ -234,6 +241,17 @@ def _windows(zones_row: tuple, pulse: PulseTrain,
     return windows
 
 
+def _track_windows(config: CrossbarConfig, cal: DeviceCalibration,
+                   track: int, pulse: PulseTrain) -> np.ndarray:
+    """``_windows`` of a track, refusing a row whose zones are too close
+    for the capacity clamp."""
+    windows = _windows(config.zones[track], pulse, cal)
+    if windows is None:
+        raise ValueError(f"zones of track {track} overlap or lie within "
+                         f"{CAPACITY_DISPLACEMENT_UM} um of each other")
+    return windows
+
+
 def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
                           track: int, pulse: PulseTrain,
                           stochastic: StochasticModel,
@@ -245,11 +263,65 @@ def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
     are too close for the capacity clamp is refused before anything is
     drawn.
     """
-    windows = _windows(config.zones[track], pulse, cal)
-    if windows is None:
-        raise ValueError(f"zones of track {track} overlap or lie within "
-                         f"{CAPACITY_DISPLACEMENT_UM} um of each other")
+    windows = _track_windows(config, cal, track, pulse)
     return _draw_columns(config, track, windows, stochastic, rng, 1)[:, 0]
+
+
+def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
+                      stochastic: StochasticModel, cal: DeviceCalibration,
+                      seed: int) -> np.ndarray:
+    """(M, L) in-zone counts of one kinematic evaluation, bit for bit what
+    ``simulate_track_counts`` draws track by track on the
+    ``(seed, "track", i)`` streams.
+
+    A track's sampler call draws one total per window of non-zero pulses
+    and weight, and when no window holds more than MC_BLOCK pulses every
+    one takes the per-pulse kernel: one uniform per pulse, all in one
+    ``random`` call.  So each track draws just those uniforms from its own
+    stream, one ``pulse_totals`` call turns the uniforms of a block of
+    tracks (all of them, unless they hold more than PULSE_BLOCK pulses)
+    into window totals, and one ``bincount`` adds them up by crossing.  A
+    track of more than MC_BLOCK pulses, whose windows may exceed the cap,
+    is drawn by ``simulate_track_counts``.  The windows are looked up once
+    per distinct (zone row, pulse train) object of the evaluation.
+    """
+    m, l = config.m_tracks, config.l_columns
+    pulses = input_vector.pulses_per_track
+    looked_up, long_tracks = {}, []
+    windows = np.zeros((m, l, l), dtype=np.int32)
+    for i, pulse in enumerate(pulses):
+        key = id(config.zones[i]), id(pulse)
+        if key not in looked_up:
+            looked_up[key] = _track_windows(config, cal, i, pulse)
+        if pulse.count > MC_BLOCK:
+            long_tracks.append(i)
+        else:
+            windows[i] = looked_up[key]
+    windows *= config.weights[:, :, None] > 0
+    sizes = windows.sum(axis=(1, 2))
+    counts = np.zeros(m * l)
+    edges = _block_edges(sizes)
+    for a, b in zip(edges, edges[1:]):
+        track, site, column = np.nonzero(windows[a:b])
+        track += a
+        n_pulses = windows[track, site, column]
+        u = np.empty(sizes[a:b].sum())
+        stop = 0
+        for i, size in zip(range(a, b), sizes[a:b].tolist()):
+            if size:
+                start, stop = stop, stop + size
+                stream(seed, "track", i).random(out=u[start:stop])
+        counts += np.bincount(track * l + column, minlength=m * l,
+                              weights=pulse_totals(config.weights[track, site],
+                                                   stochastic, n_pulses, u))
+    counts = counts.astype(np.int64).reshape(m, l)
+    for i in long_tracks:
+        counts[i] = simulate_track_counts(config, cal, i, pulses[i],
+                                          stochastic, stream(seed, "track", i))
+    if config.enforce_capacity:
+        np.minimum(counts, [[z.capacity for z in row] for row in config.zones],
+                   out=counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -274,16 +346,17 @@ def run_weighted_sum(config: CrossbarConfig, input_vector: InputVector,
 
     Each track draws from its own derived stream, so a track's counts do
     not depend on which other tracks are present (linear-mode outputs are
-    therefore exactly additive across tracks when noise is off).  Each
-    column is read once, from its summed count.
+    therefore exactly additive across tracks when noise is off), and they
+    equal what ``simulate_track_counts`` draws for the track alone.  The
+    tracks only supply per-pulse uniforms: one ``pulse_totals`` call per
+    block of PULSE_BLOCK pulses turns those of every window of its tracks
+    into counts, which are added up by crossing and clamped at capacity
+    (see ``_kinematic_counts``).  Each column is read once, from its
+    summed count.
     """
     expected = expected_sums(config, input_vector)
-    m, l = config.m_tracks, config.l_columns
-    per_track = np.zeros((m, l), dtype=np.int64)
-    for i in range(m):
-        rng = stream(seed, "track", i)
-        per_track[i] = simulate_track_counts(
-            config, cal, i, input_vector.pulses_per_track[i], stochastic, rng)
+    l = config.l_columns
+    per_track = _kinematic_counts(config, input_vector, stochastic, cal, seed)
     n_detec = per_track.sum(axis=0)
 
     output = np.empty(l, dtype=float)

@@ -12,13 +12,16 @@ independent pulses is exactly multinomial over them, or equivalently the
 N-fold convolution of the one-pulse law.  ``pulse_distribution`` is the
 only definition of that law, and ``sample_pulse_sums`` the only sampler:
 it draws totals with no per-pulse array, a batch by inverse CDF from a
-cached table, placed by a guided lookup mostly in one comparison, and a
-single total from one multinomial.  A pulse-by-pulse record is a batch of
+cached table, placed by a guided lookup mostly in one comparison, a
+single total of up to MC_BLOCK pulses from one uniform per pulse, and any
+other total from one multinomial.  A pulse-by-pulse record is a batch of
 one-pulse totals.  Both take arrays too: ``pulse_distribution`` gives the
 laws of an array of weights, and ``sample_pulse_sums`` draws the totals of
 K (weight, pulse count) entries in one call, entry after entry on the
 stream, so one call draws exactly what K scalar calls would.  The
-crossbar draws all the windows of a track this way.
+per-pulse categorical is ``pulse_totals``, a function of the uniforms
+alone: the kinematic crossbar draws each track's uniforms from the
+track's own stream and transforms those of every track in one call.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ from .rng import stream
 #: block t // MC_BLOCK, so any parallel split at block boundaries reproduces
 #: the sequential result bit for bit.
 MC_BLOCK = 8192
+
+#: Uniforms per block of per-pulse draws.  Runs of per-pulse entries, and
+#: the tracks of a kinematic crossbar, are drawn and transformed a block
+#: at a time, which keeps their working memory near 2 MB however many
+#: entries or tracks there are.
+PULSE_BLOCK = 8 * MC_BLOCK
 
 
 @dataclass(frozen=True)
@@ -89,17 +98,77 @@ def pulse_distribution(w, model: StochasticModel
 
 
 @functools.lru_cache(maxsize=1024)
-def _pulse_law(w: float, p_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``pulse_distribution`` of one weight, for scalar draws."""
-    law = pulse_distribution(w, StochasticModel(p_bar))
-    law[0].flags.writeable = law[1].flags.writeable = False
+def _pulse_law(w: float, p_bar: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``pulse_distribution`` of one weight and its ``_pulse_cdf``,
+    for scalar draws."""
+    values, probs = pulse_distribution(w, StochasticModel(p_bar))
+    law = values, probs, _pulse_cdf(probs)
+    for a in law:
+        a.flags.writeable = False
     return law
 
 
-def _on_table(values: np.ndarray, n, size: int):
-    """Whether ``size`` totals of ``n`` pulses with outcomes ``values``
-    (..., 4) come from a table: as many as the support, of <= MC_BLOCK."""
-    return (values[..., -1] - values[..., 0]) * n < min(size, MC_BLOCK)
+#: Kernels of ``sample_pulse_sums``, chosen per entry by ``_kernel``.
+TABLE, PULSES, MULTINOMIAL = range(3)
+
+
+def _kernel(values: np.ndarray, n, size: int):
+    """Kernel that draws ``size`` totals of ``n`` pulses with outcomes
+    ``values`` (..., 4): TABLE for a batch as long as the support, of at
+    most MC_BLOCK totals; else PULSES for one total of at most MC_BLOCK
+    pulses; else MULTINOMIAL.  Written as arithmetic on the codes, which
+    costs a scalar call far less than ``np.where``."""
+    off_table = (values.T[-1] - values.T[0]) * n >= min(size, MC_BLOCK)
+    return off_table * (MULTINOMIAL - ((size == 1) & (n <= MC_BLOCK)))
+
+
+def _pulse_cdf(probs: np.ndarray) -> np.ndarray:
+    """P(count <= outcome k) of one pulse for outcomes (..., 4), computed as
+    ``_sum_cdf`` computes the one-pulse table, so the two agree bit for
+    bit."""
+    cdf = np.cumsum(probs, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def _place(values: np.ndarray, cdf: np.ndarray, n_pulses, u: np.ndarray
+           ) -> np.ndarray:
+    """Totals of K entries from one uniform per pulse: entry k sums the
+    outcomes ``values[k]`` (K, 4) of its ``n_pulses[k]`` uniforms, which
+    follow those of the entries before it in ``u``.
+
+    Each uniform starts at outcome 0 and steps past each outcome whose
+    ``cdf`` (K, 4) is <= u, so it lands exactly where
+    ``_lookup(_sum_cdf(w, p_bar, 1), u)`` does; the last outcome is never
+    tested, and one of probability 0 (floor(w) + 2 at an integer weight)
+    has cdf 1 before it, out of reach of u < 1.
+    """
+    idx = np.repeat(np.arange(0, cdf.size, 4), n_pulses)
+    for _ in range(3):
+        idx += cdf.take(idx) <= u
+    counts = np.bincount(idx, minlength=cdf.size).reshape(-1, 4)
+    return np.einsum("kv,kv->k", counts, values.reshape(-1, 4))
+
+
+def _block_edges(sizes: np.ndarray) -> list[int]:
+    """Edges of consecutive blocks of entries of ``sizes`` uniforms: a
+    block holds the entries that start within one stretch of PULSE_BLOCK
+    uniforms, so it adds up to less than PULSE_BLOCK plus its last size."""
+    block = (np.cumsum(sizes) - sizes) // PULSE_BLOCK
+    return [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(sizes)]
+
+
+def pulse_totals(w, model: StochasticModel, n_pulses, u) -> np.ndarray:
+    """Totals of K (weight, pulse count) entries, 1-D ``w`` and
+    ``n_pulses``, from the per-pulse uniforms ``u`` in [0, 1): the first
+    ``n_pulses[0]`` are entry 0's, the next entry 1's, and so on.  Each
+    uniform is one pulse's count, placed on the one-pulse law of
+    ``pulse_distribution`` by inverse CDF.  This is the categorical of
+    ``sample_pulse_sums``' per-pulse kernel, for callers that draw the
+    uniforms of many calls and transform them at once.
+    """
+    values, probs = pulse_distribution(w, model)
+    return _place(values, _pulse_cdf(probs), n_pulses, u)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -107,12 +176,14 @@ def _sum_cdf(w: float, p_bar: float, n_pulses: int
              ) -> tuple[int, np.ndarray, np.ndarray]:
     """(offset, cdf, guide) of the total of ``n_pulses`` pulses, from the
     n-fold convolution of ``pulse_distribution`` by repeated squaring.
-    Entry k of ``cdf`` is P(total <= offset + k); the last is ``inf``, so
-    every uniform in [0, 1) lands in the support.  Entry g of ``guide`` is
-    ``searchsorted(cdf, g / B, "right")`` for B >= 2 * cdf.size buckets, a
-    power of two so ``u * B`` is exact; at one byte up to 256 totals and
-    two up to MC_BLOCK, it never outweighs the cdf.  Both are read-only.
-    The cache holds the ~560 laws of a 15-state layer at up to 40 pulses.
+    Entry k of ``cdf`` is P(total <= offset + k); the table spans the
+    totals from the first to the last of non-zero probability, and its
+    last entry is ``inf``, so every uniform in [0, 1) lands in the
+    support.  Entry g of ``guide`` is ``searchsorted(cdf, g / B, "right")``
+    for B >= 2 * cdf.size buckets, a power of two so ``u * B`` is exact;
+    at one byte up to 256 totals and two up to MC_BLOCK, it never
+    outweighs the cdf.  Both are read-only.  The cache holds the ~560
+    laws of a 15-state layer at up to 40 pulses.
     """
     values, probs = pulse_distribution(w, StochasticModel(p_bar))
     power = np.bincount(values - values[0], weights=probs)
@@ -124,14 +195,19 @@ def _sum_cdf(w: float, p_bar: float, n_pulses: int
         n >>= 1
         if n:
             power = np.convolve(power, power)
-    cdf = np.cumsum(pmf)
+    # Trimmed after the convolution, not before: a shorter input sums the
+    # same products in another order and can move a cdf entry by an ulp.
+    # The totals cut off hold cdf 0 or 1, which no uniform in [0, 1)
+    # reaches: floor(w) + 2 at an integer weight and underflowed tails.
+    support = np.flatnonzero(pmf)
+    cdf = np.cumsum(pmf[support[0]:support[-1] + 1])
     cdf /= cdf[-1]
     cdf[-1] = np.inf
     buckets = 2 << (cdf.size - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
     guide = guide.astype(np.min_scalar_type(cdf.size - 1))
     cdf.flags.writeable = guide.flags.writeable = False
-    return int(values[0]) * n_pulses, cdf, guide
+    return int(values[0]) * n_pulses + int(support[0]), cdf, guide
 
 
 def _lookup(table: tuple, u: np.ndarray) -> np.ndarray:
@@ -154,22 +230,28 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
     ``n_pulses`` of K entries, entry k totals ``n_pulses[k]`` pulses at
     ``w[k]`` and the result has shape ``(size, K)``.
 
-    The totals follow the exact law of the sum.  An entry whose batch is
-    at least as long as its law's support, for a support of at most
-    MC_BLOCK values, draws each total with one uniform placed by
-    ``_lookup`` in the cached ``_sum_cdf`` table, mostly in one test.  The
-    cap bounds a table's memory and its one-off build time, quadratic in
-    its length.  Any other entry, such as a window of the kinematic
-    crossbar drawn once, takes the number of pulses landing on each
-    outcome of ``pulse_distribution`` from a multinomial.  The choice
-    depends only on the arguments, so the random stream does not depend
-    on the cache.
+    The totals follow the exact law of the sum, drawn by one of three
+    kernels, chosen per entry by ``_kernel`` from the arguments alone, so
+    the random stream does not depend on any cache:
+
+    - TABLE: a batch at least as long as its law's support, for a support
+      of at most MC_BLOCK values, draws each total with one uniform placed
+      by ``_lookup`` in the cached ``_sum_cdf`` table, mostly in one test.
+      The cap bounds a table's memory and its one-off build time,
+      quadratic in its length.
+    - PULSES: a single total of at most MC_BLOCK pulses, such as a window
+      of the kinematic crossbar, draws one uniform per pulse and sums
+      their outcomes by ``_place``, the categorical of ``pulse_totals``.
+    - MULTINOMIAL: any other entry takes the number of pulses landing on
+      each outcome of ``pulse_distribution`` from a multinomial.
 
     Entries consume the stream one after another, so the array form draws
     exactly what a loop of scalar calls over its entries would.  Each run
     of consecutive table entries is one ``rng.random`` call, written into
     the run's rows of the output and looked up row by row, so no other
-    temporary outgrows one batch; each run of multinomial entries is one
+    temporary outgrows one batch; each run of per-pulse entries is one
+    ``rng.random`` call of all their pulses and one ``_place`` per block of
+    about PULSE_BLOCK pulses; each run of multinomial entries is one
     window-major multinomial call.  A scalar call reads its law from a
     cache and skips the array bookkeeping.
     """
@@ -180,24 +262,33 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
         raise ValueError("n_pulses must be >= 0")
     if weights.ndim == n.ndim == 0:
         w, n = float(weights), int(n)
-        values, probs = _pulse_law(w, p_bar)
-        if not _on_table(values, n, size):
-            return rng.multinomial(n, probs, size=size) @ values
-        return _lookup(_sum_cdf(w, p_bar, n), rng.random(size))
+        values, probs, cdf = _pulse_law(w, p_bar)
+        kernel = _kernel(values, n, size)
+        if kernel == TABLE:
+            return _lookup(_sum_cdf(w, p_bar, n), rng.random(size))
+        if kernel == PULSES:
+            return _place(values, cdf, n, rng.random(n))
+        return rng.multinomial(n, probs, size=size) @ values
     weights, n = weights.reshape(-1), n.reshape(-1)
     values, probs = pulse_distribution(weights, model)
     totals = np.empty((n.size, size), dtype=np.int64)
     start = 0
-    for on_table, group in itertools.groupby(
-            _on_table(values, n, size).tolist()):
+    for kernel, group in itertools.groupby(
+            _kernel(values, n, size).tolist()):
         stop = start + len(list(group))
         run = slice(start, stop)
-        if on_table:
+        if kernel == TABLE:
             u = totals[run].view(np.float64)   # drawn in place of the totals
             rng.random(out=u)
             for k, wk, nk in zip(range(start, stop), weights[run].tolist(),
                                  n[run].tolist()):
                 totals[k] = _lookup(_sum_cdf(wk, p_bar, nk), u[k - start])
+        elif kernel == PULSES:
+            edges = _block_edges(n[run])
+            for a, b in zip(edges, edges[1:]):
+                k = slice(start + a, start + b)
+                totals[k, 0] = _place(values[k], _pulse_cdf(probs[k]), n[k],
+                                      rng.random(n[k].sum()))
         else:
             draws = rng.multinomial(n[run, None], probs[run, None, :],
                                     size=(stop - start, size))

@@ -9,6 +9,7 @@ simulations are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -24,7 +25,14 @@ def _path_key(item) -> int:
         if not 0 <= item < 2**32:
             raise ValueError(f"integer path element {item} outside [0, 2**32)")
         return int(item)
-    digest = hashlib.sha256(str(item).encode("utf-8")).digest()
+    return _text_key(str(item))
+
+
+@functools.lru_cache(maxsize=1024)
+def _text_key(text: str) -> int:
+    """First four bytes of the SHA-256 of ``text``, little-endian; cached,
+    since a few names ("track", "sweep" ...) key most streams."""
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from skysum import (
     stream,
 )
 from skysum.crossbar import _windows, simulate_track_counts
-from skysum.nucleation import MC_BLOCK, pulse_distribution
+from skysum.nucleation import MC_BLOCK, PULSE_BLOCK, pulse_distribution
 from skysum.transport import (
     SkyrmionPopulation,
     advance,
@@ -388,14 +389,55 @@ class TestStreamIdentity:
             window_column_counts(cfg, iv, model, trials, seed=2))
 
 
+    def test_window_over_the_cap_equals_window_loop(self, cal4):
+        # A 0.05 ns pulse moves a skyrmion by 0.08 nm, so MC_BLOCK + 100
+        # pulses leave every one in the zone it was born in: track 0's
+        # windows hold more than MC_BLOCK pulses and take the multinomial,
+        # while track 1's take the per-pulse kernel.
+        cfg = build_crossbar(cal4, [[1.0, 0.4], [2.3, 0.0]],
+                             enforce_capacity=False)
+        iv = InputVector((PulseTrain(MC_BLOCK + 100, J4, 0.05),
+                          PulseTrain(30, J4, T4)))
+        assert _windows(cfg.zones[0], iv.pulses_per_track[0],
+                        cal4).max() > MC_BLOCK
+        model = StochasticModel(0.4)
+        for seed in range(2):
+            res = run_weighted_sum(cfg, iv, model, cal4, seed=seed)
+            np.testing.assert_array_equal(
+                res.per_track, window_weighted_sum(cfg, iv, model, cal4, seed))
+
+
+    def test_many_pulses_in_bounded_memory(self, cal4):
+        # 16 tracks of 8 columns and 8000 pulses that stay in their zones:
+        # 1 024 000 uniforms, drawn and transformed a block of tracks at a
+        # time, the same counts as the window loop.
+        cal = dataclasses.replace(cal4, track_length=170.0)
+        weights = np.random.default_rng(5).uniform(0.0, 2.5, (16, 8))
+        cfg = build_crossbar(cal, weights, enforce_capacity=False)
+        iv = InputVector((PulseTrain(8000, J4, 0.05),) * 16)
+        assert 16 * 8 * 8000 > 8 * PULSE_BLOCK
+        model = StochasticModel(0.4)
+        run_weighted_sum(cfg, iv, model, cal, seed=3)
+        tracemalloc.start()
+        try:
+            res = run_weighted_sum(cfg, iv, model, cal, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        np.testing.assert_array_equal(
+            res.per_track, window_weighted_sum(cfg, iv, model, cal, 3))
+
+
 class TestWindowCache:
     def test_windows_are_read_only_and_shared(self, cal4):
+        # Both tracks share one zone row and one train: one lookup.
         _, cfg, pulse = _lossless(cal4)
         _windows.cache_clear()
         run_weighted_sum(cfg, InputVector((pulse,) * 2), StochasticModel(0.4),
                          cal4, seed=0)
         info = _windows.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 0)
         windows = _windows(cfg.zones[0], pulse, cal4)
         assert windows.dtype == np.int64
         with pytest.raises(ValueError):

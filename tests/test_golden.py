@@ -1,17 +1,25 @@
 """Byte-identity of the random streams: fixed-seed draws through every
-sampler branch hash to digests recorded before the table lookup became a
-guided search.  A change here is a change of random-stream consumption or
-of the numbers drawn, and must be announced as one."""
+sampler kernel hash to recorded digests.  A change here is a change of
+random-stream consumption or of the numbers drawn, and must be announced
+as one.  The scalar-call digest was re-recorded when single totals moved
+to the per-pulse kernel; the others date from before the table lookup
+became a guided search."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 
 from skysum import (
+    InputVector,
+    PulseTrain,
     StochasticModel,
+    build_crossbar,
     infer,
     monte_carlo_sigma,
+    paper2024,
     quantize,
+    run_weighted_sum,
     sample_pulse_sums,
     stream,
 )
@@ -53,9 +61,10 @@ def test_array_form_mixing_both_branches():
 
 
 def test_scalar_calls():
-    # One stream through scalar calls of both branches: one-pulse and
-    # N-pulse totals, a size-1 draw, a full block, a point mass, zero
-    # pulses, p_bar at 0 and 1, and a support longer than MC_BLOCK.
+    # One stream through scalar calls of every kernel: one-pulse and
+    # N-pulse totals, two size-1 draws (per pulse), a full block, a point
+    # mass, zero pulses, p_bar at 0 and 1, and a support longer than
+    # MC_BLOCK (multinomial).
     g = stream(0, "golden", "scalar")
     sums = np.concatenate([
         sample_pulse_sums(w, StochasticModel(p_bar), g, n, size)
@@ -65,5 +74,20 @@ def test_scalar_calls():
             (2.3, 0.0, 7, 2), (1.2, 0.4, 3000, 10)]])
     assert sums.shape == (8263,)
     assert digest(sums) == (
-        "acc95f30f53b159fd8603bc298d2f582a7e1f2d4fd55e584ab19eb6c8223c04e")
-    assert g.random() == 0.8289558480622129
+        "48aff9de711c6fa4eb3b42d6d9d2ddacd6f1377c0e6467a234cf8a5bd861a3fb")
+    assert g.random() == 0.15581350562151075
+
+
+def test_kinematic_weighted_sum():
+    # 40 pulses at the reference current carry skyrmions into the next
+    # zone and off the track; a capacity of 20 clamps about half of the
+    # crossings.
+    cal = dataclasses.replace(paper2024(), track_length=170.0)
+    weights = stream(0, "golden", "crossbar").uniform(0.0, 2.0, (8, 16))
+    config = build_crossbar(cal, weights, capacity=20)
+    inputs = InputVector(
+        (PulseTrain(40, cal.current_ref, cal.duration_ref),) * 8)
+    res = run_weighted_sum(config, inputs, MODEL, cal, seed=13)
+    assert (res.per_track == 20).any() and (res.per_track < 20).any()
+    assert digest(res.per_track) == (
+        "a9668dbf0022b855f68cd8b457fb63c0e29b81764dbb3439b1af1a93158daa41")

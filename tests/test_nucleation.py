@@ -20,13 +20,20 @@ from skysum import (
     monte_carlo_sigma,
     paper2024,
     pulse_distribution,
+    pulse_totals,
     quantize,
     sample_pulse_sums,
     simulate_cumulative,
     stream,
 )
 from skysum.crossbar import monte_carlo_column_counts
-from skysum.nucleation import MC_BLOCK, _lookup, _pulse_law, _sum_cdf
+from skysum.nucleation import (
+    MC_BLOCK,
+    PULSE_BLOCK,
+    _lookup,
+    _pulse_law,
+    _sum_cdf,
+)
 
 from laws import assert_follows, sum_pmf
 
@@ -196,16 +203,18 @@ class TestSumKernels:
 
     @pytest.mark.parametrize("w, p_bar, n_pulses", [
         (0.0, 0.4, 5), (2.3, 1.0, 0), (1.0, 0.0, 1), (1.0, 0.4, 1),
-        (2.3, 0.4, 10), (0.5, 0.4, 40), (1.0, 0.4, 85), (0.5, 0.4, 128),
-        (1.0, 0.2, 1000), (1.0, 0.4, 2730),
+        (2.3, 0.4, 10), (0.5, 0.4, 40), (1.0, 0.4, 85), (1.5, 0.4, 85),
+        (0.5, 0.4, 128), (1.0, 0.2, 1000), (1.0, 0.4, 2730),
+        (1.5, 0.4, 2730),
     ])
     def test_guide_never_outweighs_its_table(self, w, p_bar, n_pulses):
         # Entry g of the guide is where the search for a uniform in
         # [g / B, (g + 1) / B) may start, for a power of two B of at least
         # twice the table length.  It takes one byte per bucket up to 256
         # totals and two above, so it costs no more bytes than the cdf.
-        # 85 pulses at w = 1 give 256 totals and 128 at w = 0.5 give 257;
-        # 2730 at w = 1 give 8191, the longest table below MC_BLOCK.
+        # 85 pulses at w = 1.5 give 256 totals and 128 at w = 0.5 give 257;
+        # 2730 at w = 1.5 span 8191, the longest table below MC_BLOCK.  At
+        # w = 1 the same pulse counts give tables cut to their support.
         _, cdf, guide = _sum_cdf(w, p_bar, n_pulses)
         buckets = guide.size
         assert buckets & (buckets - 1) == 0 and buckets >= 2 * cdf.size
@@ -250,6 +259,22 @@ class TestSumKernels:
         if laws[0][0] == 0.0 or laws[0][2] == 0:
             assert tables[0][1].tolist() == [np.inf]
 
+    @pytest.mark.parametrize("w, p_bar, n_pulses", [
+        (1.0, 0.2, 1000), (2.0, 0.4, 40), (3.0, 1.0, 7), (1.0, 0.0, 9),
+        (0.5, 0.0, 12), (2.3, 0.4, 10), (0.25, 0.4, 2000),
+    ])
+    def test_table_spans_the_support(self, w, p_bar, n_pulses):
+        # The table runs from the first total of non-zero probability to
+        # the last.  An integer weight lists floor(w) + 2 at probability 0,
+        # so N pulses span at most 2N + 1 totals, not 3N + 1; tails that
+        # underflow to 0 are cut too.
+        offset, cdf, _ = _sum_cdf(w, p_bar, n_pulses)
+        assert cdf[0] > 0
+        assert offset >= max(math.floor(w) - 1, 0) * n_pulses
+        if w == int(w):
+            assert offset + cdf.size - 1 <= (w + 1) * n_pulses
+            assert cdf.size <= 2 * n_pulses + 1
+
     def test_no_table_longer_than_a_block(self):
         # 3001 pulses at w = 1 have 9004 possible totals, more than
         # MC_BLOCK: even a longer batch keeps the multinomial, so a cached
@@ -278,6 +303,113 @@ class TestSumKernels:
                 sample_pulse_sums(w, model, stream(0, "ws"), n, 1000)
         info = _sum_cdf.cache_info()
         assert info.misses == info.currsize == len(laws)
+
+
+def one_pulse_edges(w, p_bar):
+    """Every cdf value a one-pulse draw is compared with, below 1."""
+    _, cdf, _ = _sum_cdf(w, p_bar, 1)
+    _, probs = pulse_distribution(w, StochasticModel(p_bar))
+    edges = np.concatenate([cdf, np.cumsum(probs) / probs.sum()])
+    return np.unique(edges[edges < 1.0])
+
+
+class TestPerPulseKernel:
+    """One total of at most MC_BLOCK pulses: one uniform per pulse, each
+    placed on the one-pulse law, the outcomes summed."""
+
+    @settings(deadline=None)
+    @given(w=st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                       st.floats(0.0, 4.0)),
+           p_bar=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           split=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    @example(w=0.0, p_bar=0.4, split=0, seed=0)
+    @example(w=2.0, p_bar=1.0, split=3, seed=1)
+    @example(w=0.5, p_bar=0.0, split=1, seed=2)
+    @example(w=1.0, p_bar=0.4, split=8, seed=3)
+    def test_places_uniforms_as_the_one_pulse_table(self, w, p_bar, split,
+                                                    seed):
+        # Each uniform lands where the one-pulse table puts it, including
+        # 0, the largest double below 1, every cdf value and the double
+        # just below it; an entry of several pulses sums its uniforms'
+        # outcomes, and an entry of no pulses is 0.
+        edges = one_pulse_edges(w, p_bar)
+        u = np.concatenate([[0.0, 1 - 2**-53], edges,
+                            np.nextafter(edges, 0),
+                            np.random.default_rng(seed).random(16)])
+        u = u[u >= 0.0]
+        model = StochasticModel(p_bar)
+        placed = _lookup(_sum_cdf(w, p_bar, 1), u)
+        np.testing.assert_array_equal(
+            pulse_totals(np.full(u.size, w), model, np.ones(u.size, int), u),
+            placed)
+        n = np.array([split, 0, u.size - split])
+        np.testing.assert_array_equal(
+            pulse_totals(np.full(3, w), model, n, u),
+            [placed[:split].sum(), 0, placed[split:].sum()])
+
+    @pytest.mark.parametrize("w", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("p_bar", [0.4, 1.0])
+    def test_integer_weight_never_yields_two_more(self, w, p_bar):
+        # pulse_distribution lists floor(w) + 2 with probability 0: no
+        # uniform below 1 reaches it, in the transform or in a draw.
+        model = StochasticModel(p_bar)
+        u = np.concatenate([[1 - 2**-53], np.nextafter(one_pulse_edges(
+            w, p_bar), 1), stream(0, "int", w, p_bar).random(5000)])
+        counts = pulse_totals(np.full(u.size, w), model,
+                              np.ones(u.size, dtype=np.int64), u)
+        assert counts.max() == w + 1
+        draws = sample_pulse_sums(np.full(5000, w), model,
+                                  stream(1, "int", w, p_bar),
+                                  np.ones(5000, dtype=np.int64), 1)
+        assert draws.max() == w + 1
+
+    @pytest.mark.parametrize("w", [0.25, 1.0, 2.3])
+    @pytest.mark.parametrize("n_pulses", [1, 40])
+    def test_size_one_draws_follow_the_law(self, w, n_pulses):
+        # LAW_DRAWS entries of one total each, as a crossbar's windows
+        # are drawn: no table is built, and the totals follow the exact
+        # law of the n-pulse sum.
+        model = StochasticModel(0.4)
+        g = stream(0, "per-pulse", repr((w, n_pulses)))
+        before = _sum_cdf.cache_info()
+        sums = sample_pulse_sums(np.full(LAW_DRAWS, w), model, g,
+                                 np.full(LAW_DRAWS, n_pulses), 1)
+        assert _sum_cdf.cache_info() == before
+        assert sums.shape == (1, LAW_DRAWS)
+        assert_follows(sums[0], sum_pmf(w, model, n_pulses))
+
+    def test_blocks_equal_scalar_loop_in_bounded_memory(self):
+        # 100 entries of MC_BLOCK pulses: 819 200 uniforms, drawn and
+        # placed a block at a time, give the totals of one scalar call per
+        # entry on the same stream.  A point mass (table) comes first and
+        # an entry over the cap (multinomial) splits the per-pulse runs.
+        model = StochasticModel(0.4)
+        w = np.resize([0.3, 1.0, 2.3], 100)
+        w[0] = 0.0
+        n = np.full(100, MC_BLOCK)
+        n[50] += 1
+        assert n.sum() > 8 * PULSE_BLOCK
+        tracemalloc.start()
+        try:
+            got = sample_pulse_sums(w, model, stream(0, "blocks"), n, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        ref = stream(0, "blocks")
+        np.testing.assert_array_equal(got[0], [
+            sample_pulse_sums(wk, model, ref, nk, 1)[0]
+            for wk, nk in zip(w, n)])
+
+    def test_draws_one_uniform_per_pulse(self):
+        # The kernel reads exactly n uniforms, so a scalar draw and a
+        # transform of the same stream agree, and the stream moves on by n.
+        model = StochasticModel(0.4)
+        g, ref = stream(0, "pp"), stream(0, "pp")
+        got = sample_pulse_sums(2.3, model, g, 40, 1)
+        want = pulse_totals(np.array([2.3]), model, [40], ref.random(40))
+        np.testing.assert_array_equal(got, want)
+        assert g.random() == ref.random()
 
 
 class TestArrayForm:

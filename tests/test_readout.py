@@ -29,6 +29,7 @@ from skysum import (
     sample_pulse_sums,
     stream,
 )
+from skysum.nucleation import _lookup, _sum_cdf
 from skysum.readout import SequencedTrack, run_phases
 from skysum.transport import (
     SkyrmionPopulation,
@@ -211,6 +212,20 @@ class TestCohortSequencer:
         assert trace.n_detec.tolist() == ref_counts
         assert trace.delta_v.tolist() == ref_volts
 
+
+    @pytest.mark.parametrize("w, p_bar", [(2.3, 0.4), (1.0, 1.0),
+                                          (0.4, 0.6)])
+    def test_one_pulse_track(self, w, p_bar):
+        # A track pulsed once draws its birth from one uniform of its
+        # stream, placed on the one-pulse table.
+        cal = paper2024()
+        plan = [("pulsing", 1, 0), ("post", 1, None)]
+        table = _sum_cdf(w, p_bar, 1)
+        for seed in range(60):
+            tracks = replay_tracks(seed, [(171.0, w, p_bar, 8.0, 81, True)])
+            trace = run_phases(plan, tracks, cal)
+            born = _lookup(table, stream(seed, "replay", 0).random(1))[0]
+            assert trace.n_detec.tolist() == [born, born]
 
     def test_rng_free_track_raises_only_when_pulsed(self):
         # Without an rng only an integer weight has a count, and a
