@@ -159,7 +159,9 @@ def load_document(path) -> dict:
         if str(path).endswith(".json"):
             doc = json.loads(text)
         else:
-            doc = yaml.safe_load(text)
+            # libyaml's parser when PyYAML has it: the same documents.
+            doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                                 yaml.SafeLoader))
     except (yaml.YAMLError, json.JSONDecodeError) as exc:
         raise ValidationError(str(path), f"could not parse document: {exc}")
     _expect(isinstance(doc, dict), str(path), "document must be a mapping")

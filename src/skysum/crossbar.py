@@ -39,7 +39,7 @@ from .readout import (
     mtj_activation,
     run_phases,
 )
-from .rng import stream
+from .rng import stream, stream_uniforms
 from .transport import (
     CAPACITY_DISPLACEMENT_UM,
     DetectionZone,
@@ -278,9 +278,10 @@ def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
     and weight, and when no window holds more than MC_BLOCK pulses every
     one takes the per-pulse kernel: one uniform per pulse, all in one
     ``random`` call.  So each track draws just those uniforms from its own
-    stream, one ``pulse_totals`` call turns the uniforms of a block of
-    tracks (all of them, unless they hold more than PULSE_BLOCK pulses)
-    into window totals, and one ``bincount`` adds them up by crossing.  A
+    stream (one ``stream_uniforms`` call keys a block's streams), one
+    ``pulse_totals`` call turns the uniforms of a block of tracks (all of
+    them, unless they hold more than PULSE_BLOCK pulses) into window
+    totals, and one ``bincount`` adds them up by crossing.  A
     track of more than MC_BLOCK pulses, whose windows may exceed the cap,
     is drawn by ``simulate_track_counts``.  The windows are looked up once
     per distinct (zone row, pulse train) object of the evaluation.
@@ -305,12 +306,8 @@ def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
         track, site, column = np.nonzero(windows[a:b])
         track += a
         n_pulses = windows[track, site, column]
-        u = np.empty(sizes[a:b].sum())
-        stop = 0
-        for i, size in zip(range(a, b), sizes[a:b].tolist()):
-            if size:
-                start, stop = stop, stop + size
-                stream(seed, "track", i).random(out=u[start:stop])
+        u = stream_uniforms(seed, ("track",), a, sizes[a:b].tolist(),
+                            np.empty(sizes[a:b].sum()))
         counts += np.bincount(track * l + column, minlength=m * l,
                               weights=pulse_totals(config.weights[track, site],
                                                    stochastic, n_pulses, u))
@@ -351,23 +348,19 @@ def run_weighted_sum(config: CrossbarConfig, input_vector: InputVector,
     tracks only supply per-pulse uniforms: one ``pulse_totals`` call per
     block of PULSE_BLOCK pulses turns those of every window of its tracks
     into counts, which are added up by crossing and clamped at capacity
-    (see ``_kinematic_counts``).  Each column is read once, from its
-    summed count.
+    (see ``_kinematic_counts``).  The columns are read at once, from their
+    summed counts.
     """
     expected = expected_sums(config, input_vector)
-    l = config.l_columns
     per_track = _kinematic_counts(config, input_vector, stochastic, cal, seed)
     n_detec = per_track.sum(axis=0)
-
-    output = np.empty(l, dtype=float)
     if config.readout_mode == LINEAR_AHE:
-        meas_rng = stream(seed, "readout") if noise else None
-        for j in range(l):
-            output[j] = hall_voltage(int(n_detec[j]), cal, noise=noise,
-                                     rng=meas_rng, sigma_meas=sigma_meas)
+        output = hall_voltage(n_detec, cal, noise=noise,
+                              rng=stream(seed, "readout") if noise else None,
+                              sigma_meas=sigma_meas)
     else:
-        for j in range(l):
-            output[j] = mtj_activation(int(n_detec[j]), config.mtj, cal)
+        output = np.array([mtj_activation(int(n), config.mtj, cal)
+                           for n in n_detec])
     return WeightedSumResult(n_detec=n_detec, output=output,
                              per_track=per_track, expected=expected,
                              seed=seed)

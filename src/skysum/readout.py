@@ -85,24 +85,27 @@ class MeasurementTrace:
         ]
 
 
-def hall_voltage(n_detec: int, cal: DeviceCalibration, noise: bool = False,
+def hall_voltage(n_detec, cal: DeviceCalibration, noise: bool = False,
                  rng: np.random.Generator | None = None,
-                 sigma_meas: float = DEFAULT_SIGMA_MEAS_NV) -> float:
-    """Hall voltage step (nV) for ``n_detec`` skyrmions in the zone.
+                 sigma_meas: float = DEFAULT_SIGMA_MEAS_NV):
+    """Hall voltage step (nV) for ``n_detec`` skyrmions in the zone: a float
+    for one count, an array for an ndarray of counts.
 
     Noise-free mode is exactly linear.  Noisy mode adds the per-skyrmion
     dispersion (7 nV each, summed in quadrature) and the post-averaging
-    measurement noise, as one Gaussian draw.
+    measurement noise, as one Gaussian draw per count, in order.
     """
-    if n_detec < 0:
+    array = isinstance(n_detec, np.ndarray)
+    if (n_detec.min(initial=0) if array else n_detec) < 0:
         raise ValueError("n_detec must be >= 0")
-    clean = n_detec * cal.per_skyrmion_voltage_mean
-    if not noise:
-        return float(clean)
-    if rng is None:
-        raise ValueError("noisy mode needs an explicit rng")
-    std = math.sqrt(n_detec * cal.per_skyrmion_voltage_std**2 + sigma_meas**2)
-    return float(clean + rng.normal(0.0, std))
+    volts = n_detec * cal.per_skyrmion_voltage_mean
+    if noise:
+        if rng is None:
+            raise ValueError("noisy mode needs an explicit rng")
+        var = n_detec * cal.per_skyrmion_voltage_std**2 + sigma_meas**2
+        volts = volts + rng.normal(0.0, np.sqrt(var) if array
+                                   else math.sqrt(var))
+    return volts if array else float(volts)
 
 
 @dataclass(frozen=True)

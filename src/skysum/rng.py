@@ -1,10 +1,13 @@
 """Deterministic random-number streams for reproducible simulations.
 
 All stochastic code in this package draws from Philox counter-based
-generators keyed by an integer seed plus a derivation path.  The same
-``(seed, path)`` always yields the same stream, independent of how many
-other streams were created before it, so parallel trials and per-track
-simulations are bit-reproducible.
+generators keyed by an integer seed plus a derivation path, through one
+derivation: the path's words are the spawn key of numpy's ``SeedSequence``
+(NEP 19), whose state keys the Philox.  The same ``(seed, path)`` always
+yields the same stream, independent of how many other streams were created
+before it, so parallel trials and per-track simulations are
+bit-reproducible.  ``stream`` derives one path; ``stream_uniforms`` derives
+a run of paths that differ in their last integer all at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,12 @@ import functools
 import hashlib
 
 import numpy as np
+
+# SeedSequence's hash constants, on 32-bit words.
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _path_key(item) -> int:
@@ -45,3 +54,46 @@ def stream(seed: int, *path) -> np.random.Generator:
     spawn_key = tuple(_path_key(p) for p in path)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def stream_uniforms(seed: int, prefix: tuple, first: int, sizes,
+                    out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the first ``sizes[k]`` uniforms of
+    ``stream(seed, *prefix, first + k)``, one stream after another.
+
+    The prefix's pool is numpy's own.  Its entropy is the seed's words,
+    padded to four when there is a spawn key, then the prefix, so the hash
+    constant has advanced 16 + 4 steps per word past the fourth.  The last
+    word is mixed in and ``generate_state(2, uint64)`` applied on uint64
+    arrays masked to 32 bits; each key re-keys one Philox.
+    """
+    sizes = list(sizes)
+    _path_key(first), _path_key(first + max(len(sizes) - 1, 0))
+    spawn_key = tuple(_path_key(p) for p in prefix)
+    pool = np.random.SeedSequence(int(seed), spawn_key=spawn_key).pool
+    last = np.arange(first, first + len(sizes), dtype=np.uint64)
+    extra = max(0, (int(seed).bit_length() + 31) // 32 - 4) + len(spawn_key)
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 2**32) & _MASK
+    const_b, words = _INIT_B, []
+    for word in pool.tolist():
+        value = last ^ const              # hashmix of the last word ...
+        const = const * _MULT_A & _MASK
+        value = value * const & _MASK
+        value ^= value >> 16
+        value = ((_MIX_L * word & _MASK) - _MIX_R * value) & _MASK
+        value ^= value >> 16              # ... mixed into the pool word
+        value ^= const_b                  # generate_state's hash of it
+        const_b = const_b * _MULT_B & _MASK
+        value = value * const_b & _MASK
+        words.append(value ^ value >> 16)
+    bit_generator = np.random.Philox(key=0)
+    generator, state = np.random.Generator(bit_generator), bit_generator.state
+    keys = zip(words[0] | words[1] << 32, words[2] | words[3] << 32)
+    stop = 0
+    for key, size in zip(keys, sizes):
+        if size:
+            state["state"]["key"] = key
+            bit_generator.state = state
+            start, stop = stop, stop + size
+            generator.random(out=out[start:stop])
+    return out

@@ -16,6 +16,7 @@ from skysum import (
     check_current_uniformity,
     current_uniformity,
     expected_sums,
+    hall_voltage,
     monte_carlo_column_counts,
     monte_carlo_sum_relative_std,
     paper2024,
@@ -214,6 +215,19 @@ class TestRunWeightedSum:
                                 seed=s, noise=True).output[0]
                for s in range(400)]
         assert np.std(out, ddof=1) == pytest.approx(25.0, rel=0.15)
+
+    def test_noisy_outputs_equal_column_loop(self, cal4):
+        # The columns are read in one array call: the values of one scalar
+        # call per column, in column order, on the "readout" stream.
+        cal, cfg, pulse = _lossy(cal4)
+        iv = InputVector((pulse,) * cfg.m_tracks)
+        for seed in range(3):
+            res = run_weighted_sum(cfg, iv, StochasticModel(0.4), cal,
+                                   seed=seed, noise=True, sigma_meas=12.0)
+            g = stream(seed, "readout")
+            assert res.output.tolist() == [
+                hall_voltage(int(n), cal, noise=True, rng=g, sigma_meas=12.0)
+                for n in res.n_detec]
 
 
 def _lossless(cal4):

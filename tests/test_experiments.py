@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from skysum import MissingArtifact, ValidationError, cli, paper2024
-from skysum.config import spec_from_dict, spec_from_file
+from skysum import (MissingArtifact, ValidationError, cli, experiments,
+                    paper2024)
+from skysum.config import load_document, spec_from_dict, spec_from_file
 from skysum.experiments import (
     FIGURE_IDS,
     PROTOCOLS,
@@ -19,6 +20,7 @@ from skysum.experiments import (
     read_csv,
     run_experiment,
     write_csv,
+    write_yaml,
 )
 
 
@@ -264,6 +266,31 @@ class TestProtocolTables:
         original = yaml.safe_load(snapshot.read_text())
         assert reloaded.pop("output_dir") != original.pop("output_dir")
         assert reloaded == original
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_snapshot_bytes_are_pure_python_yaml(self, tmp_path, monkeypatch,
+                                                 protocol):
+        # The snapshot of a default spec is written and read through libyaml
+        # when PyYAML has it: the bytes must be those of PyYAML's own
+        # emitter and the document that of its own parser.
+        written = []
+
+        def recording_write_yaml(path, obj):
+            written.append(obj)
+            write_yaml(path, obj)
+
+        monkeypatch.setattr(experiments, "write_yaml", recording_write_yaml)
+        monkeypatch.setitem(PROTOCOLS, protocol, PROTOCOLS[protocol]._replace(
+            run=lambda *args, **kwargs: {}))
+        params = {"weights": [[1.0, -0.5]], "input": [3]} \
+            if protocol == "netsim" else {}
+        run_dir = run_experiment(make_spec(tmp_path, "s", protocol,
+                                           params=params))
+        text = (run_dir / "config_snapshot.yaml").read_text()
+        assert text == yaml.safe_dump(experiments._jsonable(written[0]),
+                                      sort_keys=True)
+        assert load_document(run_dir / "config_snapshot.yaml") == \
+            yaml.safe_load(text)
 
 
 class TestRunDirectories:

@@ -76,6 +76,22 @@ class TestHallVoltage:
         with pytest.raises(ValueError):
             hall_voltage(1, cal, noise=True)
 
+    def test_array_equals_scalar_loop(self, cal):
+        # One draw over an array of counts gives the scalar calls' values
+        # in order and leaves the stream where they leave it.
+        counts = np.array([0, 3, 40, 1, 17, 0, 250])
+        g, ref = stream(2, "readout"), stream(2, "readout")
+        out = hall_voltage(counts, cal, noise=True, rng=g, sigma_meas=9.0)
+        assert out.tolist() == [hall_voltage(int(n), cal, noise=True, rng=ref,
+                                             sigma_meas=9.0) for n in counts]
+        assert g.random() == ref.random()
+        assert hall_voltage(counts, cal).tolist() == [
+            hall_voltage(int(n), cal) for n in counts]
+
+    def test_negative_in_array_rejected(self, cal):
+        with pytest.raises(ValueError):
+            hall_voltage(np.array([3, -1, 2]), cal)
+
 
 class TestMeasureProtocol:
     def test_detection_sequence_composition(self, cal, zone):

@@ -1,7 +1,12 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skysum import stream
+from skysum.rng import stream_uniforms
 
 
 class TestStream:
@@ -20,3 +25,51 @@ class TestStream:
             assert stream(7, "track", 5).random(4).tolist() == [
                 0.4341047540119488, 0.30378176758823194, 0.647866460620911,
                 0.7079044877213987]
+
+
+def _reference_uniforms(seed, prefix, first, sizes):
+    """numpy's own derivation, written out: strings are the first four
+    bytes of their SHA-256, little-endian."""
+    words = tuple(
+        int.from_bytes(hashlib.sha256(p.encode()).digest()[:4], "little")
+        if isinstance(p, str) else p for p in prefix)
+    return np.concatenate([np.empty(0)] + [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            seed, spawn_key=(*words, first + k)))).random(size)
+        for k, size in enumerate(sizes)])
+
+
+SEEDS = st.one_of(st.just(0), st.integers(0, 2**32 - 1),
+                  st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**200))
+PREFIXES = st.lists(st.one_of(st.text(max_size=6),
+                              st.integers(0, 2**32 - 1)), max_size=4)
+
+
+class TestStreamUniforms:
+    @given(seed=SEEDS, prefix=PREFIXES, first=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(0, 5), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @example(seed=0, prefix=[], first=0, sizes=[3])
+    @example(seed=7, prefix=["track"], first=0, sizes=[0, 4, 0, 2])
+    @example(seed=2**32 - 1, prefix=[5], first=2**32 - 1, sizes=[1])
+    @example(seed=2**64, prefix=["a", 3, "b"], first=2**32 - 3,
+             sizes=[2, 0, 1])
+    def test_equals_seed_sequence(self, seed, prefix, first, sizes):
+        first = min(first, 2**32 - max(len(sizes), 1))
+        with warnings.catch_warnings():
+            # Any overflow warning of the uint64 hashing is an error here,
+            # not only a RuntimeWarning.
+            warnings.simplefilter("error")
+            out = stream_uniforms(seed, tuple(prefix), first, sizes,
+                                  np.empty(sum(sizes)))
+        np.testing.assert_array_equal(
+            out, _reference_uniforms(seed, prefix, first, sizes))
+
+    @pytest.mark.parametrize("prefix, first, n", [
+        (("x",), 2**32, 1), (("x",), -1, 1), (("x",), 2**32 - 1, 2),
+        ((2**32,), 0, 1), ((-1,), 0, 1), (("x",), -1, 0)])
+    def test_out_of_range_int_paths_refused(self, prefix, first, n):
+        with pytest.raises(ValueError):
+            stream(1, *prefix, first + n - 1 if n else first)
+        with pytest.raises(ValueError):
+            stream_uniforms(1, prefix, first, [1] * n, np.empty(n))
