@@ -24,9 +24,14 @@ from .device import (
 from .errors import ProtocolError
 from .nucleation import (
     MC_BLOCK,
+    TABLE,
     StochasticModel,
     _block_edges,
+    _kernel,
+    _lookup,
+    _sum_cdf,
     monte_carlo_sigma,
+    pulse_distribution,
     pulse_totals,
     sample_pulse_sums,
 )
@@ -39,7 +44,7 @@ from .readout import (
     mtj_activation,
     run_phases,
 )
-from .rng import stream, stream_uniforms
+from .rng import stream, stream_uniforms, streams
 from .transport import (
     CAPACITY_DISPLACEMENT_UM,
     DetectionZone,
@@ -284,20 +289,23 @@ def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
     totals, and one ``bincount`` adds them up by crossing.  A
     track of more than MC_BLOCK pulses, whose windows may exceed the cap,
     is drawn by ``simulate_track_counts``.  The windows are looked up once
-    per distinct (zone row, pulse train) object of the evaluation.
+    per distinct zone row object and pulse train value of the evaluation,
+    so equal trains share a lookup even when they are distinct objects.
     """
     m, l = config.m_tracks, config.l_columns
     pulses = input_vector.pulses_per_track
     looked_up, long_tracks = {}, []
     windows = np.zeros((m, l, l), dtype=np.int32)
     for i, pulse in enumerate(pulses):
-        key = id(config.zones[i]), id(pulse)
-        if key not in looked_up:
-            looked_up[key] = _track_windows(config, cal, i, pulse)
+        key = id(config.zones[i]), pulse
+        track_windows = looked_up.get(key)
+        if track_windows is None:
+            track_windows = looked_up[key] = _track_windows(config, cal, i,
+                                                            pulse)
         if pulse.count > MC_BLOCK:
             long_tracks.append(i)
         else:
-            windows[i] = looked_up[key]
+            windows[i] = track_windows
     windows *= config.weights[:, :, None] > 0
     sizes = windows.sum(axis=(1, 2))
     counts = np.zeros(m * l)
@@ -359,8 +367,7 @@ def run_weighted_sum(config: CrossbarConfig, input_vector: InputVector,
                               rng=stream(seed, "readout") if noise else None,
                               sigma_meas=sigma_meas)
     else:
-        output = np.array([mtj_activation(int(n), config.mtj, cal)
-                           for n in n_detec])
+        output = mtj_activation(n_detec, config.mtj, cal)
     return WeightedSumResult(n_detec=n_detec, output=output,
                              per_track=per_track, expected=expected,
                              seed=seed)
@@ -376,15 +383,44 @@ def monte_carlo_column_counts(config: CrossbarConfig, input_vector: InputVector,
     same sampler on the same per-track streams, with the ideal windows
     (all N pulses of site j land in zone j).  Capacity is applied per
     crossing when the config enforces it; zone geometry is not read.
+
+    A track whose crossings of non-zero weight all take the table kernel
+    (``_kernel``, from the arguments alone) draws what ``_draw_columns``
+    would: one uniform per trial and crossing, crossing after crossing.
+    It draws them a chunk of crossings of about MC_BLOCK uniforms at a
+    time, and one ``_lookup`` call turns each chunk into counts that are
+    clamped and added to their columns in place.  Any other track is drawn
+    by ``_draw_columns``.  The track streams come from one key pass.
     """
     pulses = _pulse_counts(config, input_vector)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    weights, p_bar = config.weights, float(stochastic.p_bar)
+    # _kernel reads the (M, L, 4) outcomes transposed, tracks last, so the
+    # pulse counts broadcast along them.
+    outcomes, _ = pulse_distribution(weights, stochastic)
+    table = _kernel(outcomes, pulses, trials).T == TABLE
     ideal = np.eye(config.l_columns, dtype=np.int64)
     totals = np.zeros((config.l_columns, trials), dtype=np.int64)
-    for i, n in enumerate(pulses):
-        totals += _draw_columns(config, i, n * ideal, stochastic,
-                                stream(seed, "track", i), trials)
+    rows = max(1, MC_BLOCK // trials)
+    buffer = np.empty(rows * trials)
+    for i, rng in enumerate(streams(seed, ("track",), 0, config.m_tracks)):
+        n = int(pulses[i])
+        cols = np.flatnonzero(weights[i] > 0) if n else np.empty(0, int)
+        if not table[i, cols].all():
+            totals += _draw_columns(config, i, n * ideal, stochastic, rng,
+                                    trials)
+            continue
+        for a in range(0, cols.size, rows):
+            chunk = cols[a:a + rows]
+            u = buffer[:chunk.size * trials].reshape(chunk.size, trials)
+            rng.random(out=u)
+            counts = _lookup([_sum_cdf(w, p_bar, n)
+                              for w in weights[i, chunk].tolist()], u)
+            for j, row in zip(chunk.tolist(), counts):
+                if config.enforce_capacity:
+                    np.minimum(row, config.zones[i][j].capacity, out=row)
+                totals[j] += row
     return np.ascontiguousarray(totals.T)
 
 

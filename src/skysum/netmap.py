@@ -144,8 +144,7 @@ def _readout(counts: np.ndarray, readout: str, scale: float,
     if readout == MTJ:
         if mtj is None:
             raise ValueError("mtj readout requires an MtjConfig")
-        f = np.vectorize(lambda n: mtj_activation(n, mtj, cal))
-        return f(counts)
+        return mtj_activation(counts, mtj, cal)
     raise ValueError(f"unknown readout {readout!r}")
 
 

@@ -139,7 +139,7 @@ def _place(values: np.ndarray, cdf: np.ndarray, n_pulses, u: np.ndarray
 
     Each uniform starts at outcome 0 and steps past each outcome whose
     ``cdf`` (K, 4) is <= u, so it lands exactly where
-    ``_lookup(_sum_cdf(w, p_bar, 1), u)`` does; the last outcome is never
+    ``_lookup([_sum_cdf(w, p_bar, 1)], u)`` does; the last outcome is never
     tested, and one of probability 0 (floor(w) + 2 at an integer weight)
     has cdf 1 before it, out of reach of u < 1.
     """
@@ -210,17 +210,56 @@ def _sum_cdf(w: float, p_bar: float, n_pulses: int
     return int(values[0]) * n_pulses + int(support[0]), cdf, guide
 
 
-def _lookup(table: tuple, u: np.ndarray) -> np.ndarray:
-    """``offset + searchsorted(cdf, u, side="right")`` bit for bit for the
-    ``_sum_cdf`` table (offset, cdf, guide), by indexed search (Chen &
-    Asau, 1974): a uniform in bucket g lands at or after ``guide[g]``; one
-    test there settles most, searchsorted the rest.
+def _lookup(tables: Sequence[tuple], u: np.ndarray) -> np.ndarray:
+    """Totals of R rows of uniforms ``u`` (R, S): row r is
+    ``offset + searchsorted(cdf, u[r], side="right")`` bit for bit for the
+    ``_sum_cdf`` table (offset, cdf, guide) ``tables[r]``.
+
+    The search is indexed (Chen & Asau, 1974): a uniform in bucket g of its
+    row's guide lands at or after ``guide[g]``, and one test there settles
+    most.  The rows' cdfs and guides are joined end to end, the guides in
+    their own dtype, so each step is one call over every row.  The misses,
+    a few percent, take one searchsorted over the keys ``row + 1j * cdf``:
+    numpy orders complex numbers by real part, then imaginary part, so a
+    miss keyed ``row + 1j * u`` lands in its own row's cdf, which ends in
+    ``inf``.
     """
-    offset, cdf, guide = table
-    idx = guide.take((u * guide.size).astype(np.intp))
-    t = np.flatnonzero(cdf.take(idx) <= u)
-    idx[t] = cdf.searchsorted(u[t], side="right")
-    return np.add(idx, offset, dtype=np.int64)
+    if len(tables) == 1:   # one table is searched without joining
+        (offset, cdf, guide), = tables
+        flat = u.reshape(-1)
+        idx = guide.take((flat * guide.size).astype(np.intp))
+        miss = np.flatnonzero(cdf.take(idx) <= flat)
+        idx[miss] = cdf.searchsorted(flat[miss], side="right")
+        return np.add(idx, offset, dtype=np.intp).reshape(u.shape)
+    offsets, cdfs, guides = zip(*tables)
+    rows = len(tables)
+    lengths = np.fromiter(map(len, cdfs), np.intp, rows)
+    buckets = np.fromiter(map(len, guides), np.intp, rows)
+    starts = np.cumsum(lengths) - lengths
+    cdf = np.concatenate(cdfs)
+    # One index array, updated in place: bucket, then cdf entry, then total.
+    idx = np.empty(u.shape, dtype=np.intp)
+    np.multiply(u, buckets[:, None], out=idx, casting="unsafe")
+    idx += (np.cumsum(buckets) - buckets)[:, None]
+    np.add(np.concatenate(guides).take(idx), starts[:, None], out=idx)
+    miss = np.flatnonzero(cdf.take(idx) <= u)
+    shift = np.subtract(offsets, starts)
+    idx += shift[:, None]
+    if miss.size:
+        row = miss // u.shape[1]
+        keys = _complex(np.repeat(np.arange(rows), lengths), cdf)
+        found = keys.searchsorted(_complex(row, u.reshape(-1)[miss]),
+                                  side="right")
+        idx.reshape(-1)[miss] = found + shift[row]
+    return idx
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """``real + 1j * imag`` with both parts exact: the product ``1j * inf``
+    would give a nan real part."""
+    out = np.empty(imag.size, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
 
 
 def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
@@ -248,8 +287,9 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
     Entries consume the stream one after another, so the array form draws
     exactly what a loop of scalar calls over its entries would.  Each run
     of consecutive table entries is one ``rng.random`` call, written into
-    the run's rows of the output and looked up row by row, so no other
-    temporary outgrows one batch; each run of per-pulse entries is one
+    the run's rows of the output and looked up by one ``_lookup`` call per
+    chunk of rows of about MC_BLOCK uniforms, so no other temporary
+    outgrows one chunk; each run of per-pulse entries is one
     ``rng.random`` call of all their pulses and one ``_place`` per block of
     about PULSE_BLOCK pulses; each run of multinomial entries is one
     window-major multinomial call.  A scalar call reads its law from a
@@ -265,9 +305,12 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
         values, probs, cdf = _pulse_law(w, p_bar)
         kernel = _kernel(values, n, size)
         if kernel == TABLE:
-            return _lookup(_sum_cdf(w, p_bar, n), rng.random(size))
+            return _lookup([_sum_cdf(w, p_bar, n)], rng.random((1, size)))[0]
         if kernel == PULSES:
-            return _place(values, cdf, n, rng.random(n))
+            # What ``_place`` does for one entry: the cdf is monotone, so
+            # the steps past outcomes 0..2 are one searchsorted.
+            steps = cdf[:3].searchsorted(rng.random(n), side="right")
+            return values.take(steps).sum(keepdims=True)
         return rng.multinomial(n, probs, size=size) @ values
     weights, n = weights.reshape(-1), n.reshape(-1)
     values, probs = pulse_distribution(weights, model)
@@ -280,9 +323,12 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
         if kernel == TABLE:
             u = totals[run].view(np.float64)   # drawn in place of the totals
             rng.random(out=u)
-            for k, wk, nk in zip(range(start, stop), weights[run].tolist(),
-                                 n[run].tolist()):
-                totals[k] = _lookup(_sum_cdf(wk, p_bar, nk), u[k - start])
+            rows = max(1, MC_BLOCK // size)
+            for a in range(start, stop, rows):
+                k = slice(a, min(a + rows, stop))
+                tables = [_sum_cdf(wk, p_bar, nk) for wk, nk
+                          in zip(weights[k].tolist(), n[k].tolist())]
+                totals[k] = _lookup(tables, u[a - start:k.stop - start])
         elif kernel == PULSES:
             edges = _block_edges(n[run])
             for a, b in zip(edges, edges[1:]):

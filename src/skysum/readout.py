@@ -347,31 +347,37 @@ class MtjConfig:
             raise ValueError("read_current must be positive")
 
 
-def mtj_coverage(n_detec: float, mtj: MtjConfig, cal: DeviceCalibration) -> float:
-    """Fraction of the junction area covered by reversed (skyrmion) domains."""
-    if n_detec < 0:
+def mtj_coverage(n_detec, mtj: MtjConfig, cal: DeviceCalibration):
+    """Fraction of the junction area covered by reversed (skyrmion) domains:
+    a float for one count, an array for an ndarray of counts."""
+    array = isinstance(n_detec, np.ndarray)
+    if (n_detec.min(initial=0) if array else n_detec) < 0:
         raise ValueError("n_detec must be >= 0")
-    return min(n_detec * cal.skyrmion_area_um2 / mtj.junction_area, 1.0)
+    x = np.minimum(n_detec * cal.skyrmion_area_um2 / mtj.junction_area, 1.0)
+    return x if array else float(x)
 
 
-def mtj_voltage_from_coverage(x: float, mtj: MtjConfig) -> float:
-    """Junction voltage (mV) at coverage fraction ``x``.
+def mtj_voltage_from_coverage(x, mtj: MtjConfig):
+    """Junction voltage (mV) at coverage fraction ``x``: a float for one
+    fraction, an array for an ndarray of them.
 
     Two-channel conduction G(x) = (1-x)/R_P + x/(R_P (1+tmr)); the output
     rises from I R_P at x = 0 to I R_P (1+tmr) at full coverage, strictly
     increasing and convex for tmr > 0.
     """
-    if not 0.0 <= x <= 1.0:
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("coverage must lie in [0, 1]")
     # (1-x)(1+tmr) + x is the conductance denominator; written this way the
     # x = 1 endpoint evaluates to exactly 1.
     den = (1.0 - x) * (1.0 + mtj.tmr) + x
-    return mtj.read_current * mtj.r_parallel * (1.0 + mtj.tmr) * 1e-3 / den
+    volts = mtj.read_current * mtj.r_parallel * (1.0 + mtj.tmr) * 1e-3 / den
+    return volts if isinstance(x, np.ndarray) else float(volts)
 
 
-def mtj_activation(n_detec: float, mtj: MtjConfig,
-                   cal: DeviceCalibration) -> float:
-    """MTJ output voltage (mV) for ``n_detec`` skyrmions under the junction."""
+def mtj_activation(n_detec, mtj: MtjConfig, cal: DeviceCalibration):
+    """MTJ output voltage (mV) for ``n_detec`` skyrmions under the junction:
+    a float for one count, an array for an ndarray of counts, with the
+    same bytes as one call per count."""
     return mtj_voltage_from_coverage(mtj_coverage(n_detec, mtj, cal), mtj)
 
 

@@ -6,8 +6,9 @@ derivation: the path's words are the spawn key of numpy's ``SeedSequence``
 (NEP 19), whose state keys the Philox.  The same ``(seed, path)`` always
 yields the same stream, independent of how many other streams were created
 before it, so parallel trials and per-track simulations are
-bit-reproducible.  ``stream`` derives one path; ``stream_uniforms`` derives
-a run of paths that differ in their last integer all at once, bit for bit.
+bit-reproducible.  ``stream`` derives one path; ``streams`` derives a run of
+paths that differ in their last integer all at once, bit for bit, and
+``stream_uniforms`` draws the first uniforms of each.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ def stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def stream_uniforms(seed: int, prefix: tuple, first: int, sizes,
-                    out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the first ``sizes[k]`` uniforms of
-    ``stream(seed, *prefix, first + k)``, one stream after another.
+def streams(seed: int, prefix: tuple, first: int, count: int):
+    """Yield ``stream(seed, *prefix, first + k)`` for k < count, bit for
+    bit, from one key pass.  The same generator is re-keyed before each
+    yield, so draw from each stream before asking for the next.
 
     The prefix's pool is numpy's own.  Its entropy is the seed's words,
     padded to four when there is a spawn key, then the prefix, so the hash
@@ -67,11 +68,10 @@ def stream_uniforms(seed: int, prefix: tuple, first: int, sizes,
     word is mixed in and ``generate_state(2, uint64)`` applied on uint64
     arrays masked to 32 bits; each key re-keys one Philox.
     """
-    sizes = list(sizes)
-    _path_key(first), _path_key(first + max(len(sizes) - 1, 0))
+    _path_key(first), _path_key(first + max(count - 1, 0))
     spawn_key = tuple(_path_key(p) for p in prefix)
     pool = np.random.SeedSequence(int(seed), spawn_key=spawn_key).pool
-    last = np.arange(first, first + len(sizes), dtype=np.uint64)
+    last = np.arange(first, first + count, dtype=np.uint64)
     extra = max(0, (int(seed).bit_length() + 31) // 32 - 4) + len(spawn_key)
     const = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 2**32) & _MASK
     const_b, words = _INIT_B, []
@@ -88,12 +88,20 @@ def stream_uniforms(seed: int, prefix: tuple, first: int, sizes,
         words.append(value ^ value >> 16)
     bit_generator = np.random.Philox(key=0)
     generator, state = np.random.Generator(bit_generator), bit_generator.state
-    keys = zip(words[0] | words[1] << 32, words[2] | words[3] << 32)
+    for key in zip(words[0] | words[1] << 32, words[2] | words[3] << 32):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield generator
+
+
+def stream_uniforms(seed: int, prefix: tuple, first: int, sizes,
+                    out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the first ``sizes[k]`` uniforms of
+    ``stream(seed, *prefix, first + k)``, one stream after another."""
+    sizes = list(sizes)
     stop = 0
-    for key, size in zip(keys, sizes):
-        if size:
-            state["state"]["key"] = key
-            bit_generator.state = state
-            start, stop = stop, stop + size
-            generator.random(out=out[start:stop])
+    for generator, size in zip(streams(seed, prefix, first, len(sizes)),
+                               sizes):
+        start, stop = stop, stop + size
+        generator.random(out=out[start:stop])
     return out

@@ -19,12 +19,13 @@ from skysum import (
     hall_voltage,
     monte_carlo_column_counts,
     monte_carlo_sum_relative_std,
+    mtj_activation,
     paper2024,
     run_fig4_protocol,
     run_weighted_sum,
     stream,
 )
-from skysum.crossbar import _windows, simulate_track_counts
+from skysum.crossbar import _draw_columns, _windows, simulate_track_counts
 from skysum.nucleation import MC_BLOCK, PULSE_BLOCK, pulse_distribution
 from skysum.transport import (
     SkyrmionPopulation,
@@ -188,6 +189,17 @@ class TestRunWeightedSum:
         res = run_weighted_sum(cfg, inputs(10, 10), StochasticModel(0.0),
                                cal4, seed=0)
         assert res.output[0] > mtj.read_current * mtj.r_parallel * 1e-3
+
+    def test_mtj_columns_read_as_one_call_per_column(self, cal4):
+        cal, cfg, pulse = _lossy(cal4)
+        # Counts of 35 to 72 cover the junction partly or in full.
+        mtj = MtjConfig(junction_area=60 * cal.skyrmion_area_um2)
+        cfg = dataclasses.replace(cfg, readout_mode="mtj", mtj=mtj)
+        res = run_weighted_sum(cfg, InputVector((pulse,) * 3),
+                               StochasticModel(0.4), cal, seed=2)
+        assert res.output.tolist() == [mtj_activation(int(n), mtj, cal)
+                                       for n in res.n_detec]
+        assert len(set(res.output.tolist())) > 2
 
     def test_capacity_limits_counts(self, cal4):
         cfg = two_track(cal4, w=(3.0, 3.0), capacity=25)
@@ -457,6 +469,22 @@ class TestWindowCache:
         with pytest.raises(ValueError):
             windows[0, 0] = 1
 
+    def test_equal_trains_share_one_lookup(self, cal4):
+        # 64 tracks, each with its own but equal train, look their
+        # windows up once, and draw what one shared train draws.
+        _, cfg, pulse = _lossless(cal4)
+        cfg = build_crossbar(cal4, np.resize(cfg.weights, (64, 2)))
+        trains = tuple(dataclasses.replace(pulse) for _ in range(64))
+        assert len({id(t) for t in trains}) == 64
+        model = StochasticModel(0.4)
+        _windows.cache_clear()
+        res = run_weighted_sum(cfg, InputVector(trains), model, cal4, seed=4)
+        info = _windows.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        shared = run_weighted_sum(cfg, InputVector((pulse,) * 64), model,
+                                  cal4, seed=4)
+        np.testing.assert_array_equal(res.per_track, shared.per_track)
+
     def test_trains_give_their_own_windows(self, cal4):
         cal, cfg, pulse = _lossy(cal4)
         row = cfg.zones[0]
@@ -525,6 +553,40 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=match):
             monte_carlo_sum_relative_std(m, n_pulse, StochasticModel(0.4),
                                          1000, seed=0, w=w)
+
+    @pytest.mark.parametrize("trials", [1, 50, 200, 1000, 9000])
+    @pytest.mark.parametrize("enforce", [True, False],
+                             ids=["capacity", "no-capacity"])
+    def test_column_counts_equal_track_draws(self, cal4, trials, enforce):
+        # Tracks of table crossings are drawn a chunk at a time, the others
+        # by ``_draw_columns``; both give what one ``_draw_columns`` call
+        # per track gives on its (seed, "track", i) stream.  At 20 pulses
+        # and 50 trials, weights below 1 span 40 totals and take the table
+        # and weights above 1 span 60 and do not, so track 0 mixes kernels;
+        # track 1 has no pulses, track 2 only zero weights, and 3000 pulses
+        # span 6000 or 9000 totals around MC_BLOCK.
+        weights = np.array([[0.5, 1.5, 0.0, 0.3, 2.3, 1.0],
+                            [1.0, 2.0, 0.5, 0.0, 0.7, 3.0],
+                            [0.0] * 6,
+                            [0.4, 1.2, 0.0, 2.6, 0.9, 1.0],
+                            [0.2, 0.0, 3.4, 1.1, 0.6, 2.0]])
+        cfg = build_crossbar(cal4, weights, zone_start_x=1.0, zone_pitch=6.5,
+                             capacity=60, enforce_capacity=enforce)
+        pulses = (20, 0, 35, 3000 if trials == 9000 else 40, 7)
+        iv = InputVector(tuple(PulseTrain(n, J4, T4) for n in pulses))
+        model = StochasticModel(0.4)
+        ideal = np.eye(6, dtype=np.int64)
+        want = sum(_draw_columns(cfg, i, n * ideal, model,
+                                 stream(5, "track", i), trials)
+                   for i, n in enumerate(pulses))
+        got = monte_carlo_column_counts(cfg, iv, model, trials, seed=5)
+        assert got.shape == (trials, 6) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want.T)
+        if enforce:
+            free = monte_carlo_column_counts(
+                dataclasses.replace(cfg, enforce_capacity=False), iv, model,
+                trials, seed=5)
+            assert (got <= free).all() and (got < free).any()
 
     def test_input_length_must_match_tracks(self, cal4):
         cfg = two_track(cal4)

@@ -572,6 +572,30 @@ class TestCli:
         snapshot = (tmp_path / "det" / "config_snapshot.yaml").read_text()
         assert "paper2024_fig4" in snapshot
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path,
+                                                     capsys):
+        # main reuses one parser; what one call's flags set must not reach
+        # the next call.
+        assert cli._parser() is cli._parser()
+        parser = cli._parser()
+        first = parser.parse_args(["run", "a.yaml", "--seed", "3",
+                                   "--trials", "9", "--out", "x"])
+        second = parser.parse_args(["run", "b.yaml"])
+        assert (first.spec, first.seed, first.trials) == ("a.yaml", 3, 9)
+        assert vars(second) == {**vars(first), "spec": "b.yaml", "seed": None,
+                                "trials": None, "out": None}
+        spec = tmp_path / "exp.yaml"
+        spec.write_text("name: p\nprotocol: pareto\nseed: 1\n"
+                        f"output_dir: {tmp_path}\n")
+        seeds = []
+        for args in (["--seed", "7", "--preset", "paper2024_fig4"], []):
+            assert cli.main(["run", str(spec), *args]) == 0
+            snapshot = yaml.safe_load(
+                (tmp_path / "p" / "config_snapshot.yaml").read_text())
+            seeds.append((snapshot["seed"], snapshot["calibration"]["preset"]))
+        assert seeds == [(7, "paper2024_fig4"), (1, "paper2024")]
+        assert capsys.readouterr().out.split() == [str(tmp_path / "p")] * 2
+
     def test_calibrate_subcommand(self, tmp_path):
         rows = []
         for h in (20.0, 22.0, 24.0, 26.0):

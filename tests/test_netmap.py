@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,20 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from skysum import (
+    InputVector,
+    MtjConfig,
     OutOfRange,
+    PulseTrain,
     StochasticModel,
     analytic_sigma,
+    build_crossbar,
     field_for_weight,
     infer,
+    monte_carlo_column_counts,
+    mtj_activation,
     paper2024,
     quantize,
+    stream,
     weight_from_field,
 )
 
@@ -177,3 +185,50 @@ class TestInfer:
         out = infer(layer, [3, 5], readout="linear_ahe", cal=cal)
         # identity layer maps to 3.42 sk/pulse on the diagonal
         assert out[0] == pytest.approx(3 * 3.42 * 22.0, rel=1e-9)
+
+    @pytest.mark.parametrize("mode, trials", [("expected", 1),
+                                              ("stochastic", 1),
+                                              ("stochastic", 200)])
+    def test_mtj_readout_equals_one_call_per_count(self, cal, mode, trials):
+        # The array readout gives the bytes of one scalar MTJ call per
+        # (possibly fractional) column count.
+        mtj = MtjConfig(junction_area=0.3)
+        layer = quantize(stream(2, "mtj").uniform(-1, 1, (6, 3)), cal=cal)
+        x = np.array([3, 0, 12, 7, 40, 1])
+        model = StochasticModel(0.4)
+        got = infer(layer, x, mode=mode, readout="mtj", cal=cal, mtj=mtj,
+                    stochastic=model, seed=1, trials=trials)
+        if mode == "expected":
+            pos, neg = x @ layer.w_pos, x @ layer.w_neg
+        else:
+            # The counts infer reads: the pairs as a 6-column crossbar.
+            cfg = build_crossbar(cal, np.hstack([layer.w_pos, layer.w_neg]),
+                                 zone_pitch=0.0, enforce_capacity=False)
+            iv = InputVector(tuple(PulseTrain(int(n), cal.current_ref,
+                                              cal.duration_ref) for n in x))
+            counts = monte_carlo_column_counts(cfg, iv, model, trials, 1)
+            counts = counts.astype(float)[0 if trials == 1 else slice(None)]
+            pos, neg = counts[..., :3], counts[..., 3:]
+        one_by_one = np.vectorize(lambda n: mtj_activation(n, mtj, cal))
+        want = one_by_one(pos) - one_by_one(neg)
+        assert got.tobytes() == want.tobytes()
+
+    def test_stochastic_memory_is_bounded(self, cal):
+        # A 64 x 16 layer (a 64 x 32 crossbar) at 1000 trials: the counts
+        # are drawn a chunk of about MC_BLOCK uniforms at a time, so the
+        # peak (0.93 MB) is the (32, trials) counts of 256 kB, their
+        # transpose, the two float halves, the output and a few chunks.
+        layer = quantize(stream(1, "layer").uniform(-1, 1, (64, 16)),
+                         cal=cal)
+        x = stream(1, "input").integers(0, 41, 64)
+        model = StochasticModel(0.4)
+        infer(layer, x, mode="stochastic", cal=cal, stochastic=model,
+              seed=0, trials=1000)
+        tracemalloc.start()
+        try:
+            infer(layer, x, mode="stochastic", cal=cal, stochastic=model,
+                  seed=0, trials=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 32 * 1000 * 8

@@ -254,10 +254,63 @@ class TestSumKernels:
             u[k, :row.size] = row
         want = [offset + np.searchsorted(cdf, uk, side="right")
                 for (offset, cdf, _), uk in zip(tables, u)]
-        got = [_lookup(table, uk) for table, uk in zip(tables, u)]
+        got = [_lookup([table], uk[None])[0] for table, uk in zip(tables, u)]
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(_lookup(tables, u), want)
         if laws[0][0] == 0.0 or laws[0][2] == 0:
             assert tables[0][1].tolist() == [np.inf]
+
+    @settings(deadline=None, max_examples=60)
+    @given(laws=st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 4.0)),
+        st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.integers(0, 60), st.sampled_from([85, 128, 700]))),
+        min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1))
+    @example(laws=[(1.5, 0.4, 2730), (0.5, 0.4, 40), (4.0, 0.4, 60)],
+             seed=0)
+    @example(laws=[(0.0, 0.4, 5), (1.0, 0.2, 1000), (0.5, 0.4, 128),
+                   (1.5, 0.4, 85)], seed=1)
+    def test_fused_lookup_equals_searchsorted(self, laws, seed):
+        # One call over rows of different tables, one- and two-byte guides
+        # mixed, up to the longest table below MC_BLOCK, places every
+        # uniform where searchsorted in its own row's cdf does: at 0, the
+        # largest double below 1, every cdf value and the double below it,
+        # and every bucket edge g / B of its guide and the double below.
+        tables = [_sum_cdf(w, p_bar, n) for w, p_bar, n in laws]
+        rows = []
+        for _, cdf, guide in tables:
+            edges = np.concatenate([cdf[cdf < 1.0],
+                                    np.arange(guide.size) / guide.size])
+            row = np.concatenate([[0.0, 1 - 2**-53], edges,
+                                  np.nextafter(edges, 0)])
+            rows.append(row[row >= 0.0])
+        u = np.random.default_rng(seed).random(
+            (len(rows), max(r.size for r in rows) + 64))
+        for k, row in enumerate(rows):
+            u[k, :row.size] = row
+        got = _lookup(tables, u)
+        assert got.dtype == np.int64 and got.shape == u.shape
+        for (offset, cdf, _), uk, gk in zip(tables, u, got):
+            np.testing.assert_array_equal(
+                gk, offset + np.searchsorted(cdf, uk, side="right"))
+
+    @pytest.mark.parametrize("size", [200, 1000, 3000, MC_BLOCK + 808])
+    def test_table_runs_over_several_chunks(self, size):
+        # A run of table entries is looked up a chunk of rows of about
+        # MC_BLOCK uniforms at a time (one row when a row is longer), with
+        # the totals of one scalar call per entry on the same stream.
+        model = StochasticModel(0.4)
+        w = np.array([0.3, 1.0, 2.3, 0.0, 1.7, 0.5, 3.0])
+        n = np.array([40, 12, 30, 7, 25, 60, 9])
+        g, ref = stream(4, "chunks"), stream(4, "chunks")
+        before = _sum_cdf.cache_info()
+        got = sample_pulse_sums(w, model, g, n, size)
+        assert _sum_cdf.cache_info() != before
+        want = np.column_stack([sample_pulse_sums(wk, model, ref, nk, size)
+                                for wk, nk in zip(w.tolist(), n.tolist())])
+        np.testing.assert_array_equal(got, want)
+        assert g.random() == ref.random()
 
     @pytest.mark.parametrize("w, p_bar, n_pulses", [
         (1.0, 0.2, 1000), (2.0, 0.4, 40), (3.0, 1.0, 7), (1.0, 0.0, 9),
@@ -338,7 +391,7 @@ class TestPerPulseKernel:
                             np.random.default_rng(seed).random(16)])
         u = u[u >= 0.0]
         model = StochasticModel(p_bar)
-        placed = _lookup(_sum_cdf(w, p_bar, 1), u)
+        placed = _lookup([_sum_cdf(w, p_bar, 1)], u[None])[0]
         np.testing.assert_array_equal(
             pulse_totals(np.full(u.size, w), model, np.ones(u.size, int), u),
             placed)
@@ -400,6 +453,28 @@ class TestPerPulseKernel:
         np.testing.assert_array_equal(got[0], [
             sample_pulse_sums(wk, model, ref, nk, 1)[0]
             for wk, nk in zip(w, n)])
+
+    @settings(deadline=None)
+    @given(w=st.one_of(st.sampled_from([1.0, 2.0]),
+                       st.floats(0.0, 4.0, exclude_min=True)),
+           p_bar=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           n_pulses=st.one_of(st.integers(1, 200),
+                              st.sampled_from([MC_BLOCK])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scalar_total_equals_the_transform(self, w, p_bar, n_pulses,
+                                               seed):
+        # A scalar call of one total at a non-zero weight (zero is a point
+        # mass, drawn from its one-entry table) sums its uniforms' outcomes
+        # without the array layout, with the shape and dtype of the array
+        # kernel.
+        model = StochasticModel(p_bar)
+        g, ref = stream(seed, "scalar"), stream(seed, "scalar")
+        got = sample_pulse_sums(w, model, g, n_pulses, 1)
+        want = pulse_totals(np.array([w]), model, [n_pulses],
+                            ref.random(n_pulses))
+        assert got.shape == (1,) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert g.random() == ref.random()
 
     def test_draws_one_uniform_per_pulse(self):
         # The kernel reads exactly n uniforms, so a scalar draw and a

@@ -240,7 +240,8 @@ class TestCohortSequencer:
         for seed in range(60):
             tracks = replay_tracks(seed, [(171.0, w, p_bar, 8.0, 81, True)])
             trace = run_phases(plan, tracks, cal)
-            born = _lookup(table, stream(seed, "replay", 0).random(1))[0]
+            u = stream(seed, "replay", 0).random((1, 1))
+            born = _lookup([table], u)[0, 0]
             assert trace.n_detec.tolist() == [born, born]
 
     def test_rng_free_track_raises_only_when_pulsed(self):
@@ -332,6 +333,33 @@ class TestMtj:
     def test_coverage_clamps(self, cal):
         mtj = MtjConfig(junction_area=0.1)
         assert mtj_coverage(1000, mtj, cal) == 1.0
+
+    def test_array_readout_equals_scalar_loop(self, cal):
+        # An array of counts, below and beyond saturation, gives the bytes
+        # of one scalar call per count; a scalar still gives a float.
+        mtj = MtjConfig(r_parallel=2000.0, tmr=1.5, junction_area=0.1)
+        counts = np.concatenate([np.arange(0, 120, 3), [10**6]])
+        for n in (counts, counts + 0.25):
+            for f, args in ((mtj_coverage, (mtj, cal)),
+                            (mtj_activation, (mtj, cal))):
+                got = f(n, *args)
+                assert got.dtype == np.float64 and got.shape == n.shape
+                want = [f(k, *args) for k in n.tolist()]
+                assert all(type(v) is float for v in want)
+                assert got.tobytes() == np.array(want).tobytes()
+            assert mtj_coverage(n, mtj, cal)[-1] == 1.0
+        xs = np.linspace(0.0, 1.0, 101)
+        assert mtj_voltage_from_coverage(xs, mtj).tobytes() == np.array(
+            [mtj_voltage_from_coverage(x, mtj) for x in xs.tolist()]
+        ).tobytes()
+
+    def test_array_readout_refuses_any_bad_entry(self, cal):
+        mtj = MtjConfig()
+        with pytest.raises(ValueError, match="n_detec"):
+            mtj_activation(np.array([3, -1]), mtj, cal)
+        for x in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="coverage"):
+                mtj_voltage_from_coverage(np.array(x), mtj)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

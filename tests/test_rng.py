@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skysum import stream
-from skysum.rng import stream_uniforms
+from skysum.rng import stream_uniforms, streams
 
 
 class TestStream:
@@ -73,3 +73,30 @@ class TestStreamUniforms:
             stream(1, *prefix, first + n - 1 if n else first)
         with pytest.raises(ValueError):
             stream_uniforms(1, prefix, first, [1] * n, np.empty(n))
+
+
+class TestStreams:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS, prefix=PREFIXES, first=st.integers(0, 2**32 - 1),
+           count=st.integers(0, 5))
+    @example(seed=3, prefix=["track"], first=0, count=4)
+    def test_each_yield_draws_as_its_stream(self, seed, prefix, first,
+                                            count):
+        # Re-keying one generator gives each stream's draws of every kind
+        # (uniforms, multinomials, normals), whatever the stream before it
+        # drew and however far it got.
+        first = min(first, 2**32 - max(count, 1))
+        got = []
+        for k, g in enumerate(streams(seed, tuple(prefix), first, count)):
+            got.append(_draws(g, k))
+        want = [_draws(stream(seed, *prefix, first + k), k)
+                for k in range(count)]
+        assert len(got) == count
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+
+
+def _draws(g, k):
+    return (g.random(k + 3), g.multinomial([5, 40], [0.2, 0.5, 0.3]),
+            g.normal(0.0, [1.0, 2.0]), g.random(2 * k + 1))
