@@ -70,8 +70,8 @@ from .nucleation import (
     fit_weight,
     monte_carlo_sigma,
     pulse_distribution,
-    pulse_totals,
     sample_pulse_sums,
+    sample_stream_sums,
     simulate_cumulative,
 )
 from .netmap import QuantizedLayer, infer, quantize

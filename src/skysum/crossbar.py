@@ -23,17 +23,9 @@ from .device import (
 )
 from .errors import ProtocolError
 from .nucleation import (
-    MC_BLOCK,
-    TABLE,
     StochasticModel,
-    _block_edges,
-    _kernel,
-    _lookup,
-    _sum_cdf,
     monte_carlo_sigma,
-    pulse_distribution,
-    pulse_totals,
-    sample_pulse_sums,
+    sample_stream_sums,
 )
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
@@ -44,7 +36,7 @@ from .readout import (
     mtj_activation,
     run_phases,
 )
-from .rng import stream, stream_uniforms, streams
+from .rng import stream, streams
 from .transport import (
     CAPACITY_DISPLACEMENT_UM,
     DetectionZone,
@@ -189,36 +181,6 @@ def expected_sums(config: CrossbarConfig, input_vector: InputVector) -> np.ndarr
     return _pulse_counts(config, input_vector) @ config.weights
 
 
-def _draw_columns(config: CrossbarConfig, track: int, windows: np.ndarray,
-                  stochastic: StochasticModel, rng: np.random.Generator,
-                  size: int) -> np.ndarray:
-    """(L, size) in-zone counts of one track from its windows, one row per
-    column.
-
-    ``windows[s, j]`` pulses of site s leave their skyrmion in zone j, so
-    each window adds an exact sum of that many pulses at weight ``w_s`` to
-    column j.  A window of zero pulses or zero weight draws nothing; the
-    others are drawn by one ``sample_pulse_sums`` call in (s, j) order.
-    Each crossing is clamped at its zone's capacity when the config
-    enforces it.
-    """
-    weights = config.weights[track]
-    s, j = np.nonzero(windows * (weights > 0)[:, None])
-    sums = sample_pulse_sums(weights[s], stochastic, rng, windows[s, j],
-                             size).T
-    counts = np.zeros((config.l_columns, size), dtype=np.int64)
-    # The windows on one diagonal (one j - s) lie in distinct columns, so
-    # each diagonal is one fancy-index add.
-    diagonal = j - s
-    for d in set(diagonal.tolist()):
-        on = diagonal == d
-        counts[j[on]] += sums[on]
-    if config.enforce_capacity:
-        np.minimum(counts, [[z.capacity] for z in config.zones[track]],
-                   out=counts)
-    return counts
-
-
 @functools.lru_cache(maxsize=256)
 def _windows(zones_row: tuple, pulse: PulseTrain,
              cal: DeviceCalibration) -> np.ndarray | None:
@@ -246,86 +208,49 @@ def _windows(zones_row: tuple, pulse: PulseTrain,
     return windows
 
 
-def _track_windows(config: CrossbarConfig, cal: DeviceCalibration,
-                   track: int, pulse: PulseTrain) -> np.ndarray:
-    """``_windows`` of a track, refusing a row whose zones are too close
-    for the capacity clamp."""
-    windows = _windows(config.zones[track], pulse, cal)
-    if windows is None:
-        raise ValueError(f"zones of track {track} overlap or lie within "
-                         f"{CAPACITY_DISPLACEMENT_UM} um of each other")
-    return windows
-
-
-def simulate_track_counts(config: CrossbarConfig, cal: DeviceCalibration,
-                          track: int, pulse: PulseTrain,
-                          stochastic: StochasticModel,
-                          rng: np.random.Generator) -> np.ndarray:
-    """In-zone counts per column after running one track's pulse train.
-
-    The track's windows come from ``_windows``, computed once per zone row
-    and pulse train, and ``_draw_columns`` samples them.  A row whose zones
-    are too close for the capacity clamp is refused before anything is
-    drawn.
-    """
-    windows = _track_windows(config, cal, track, pulse)
-    return _draw_columns(config, track, windows, stochastic, rng, 1)[:, 0]
-
-
 def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
                       stochastic: StochasticModel, cal: DeviceCalibration,
                       seed: int) -> np.ndarray:
-    """(M, L) in-zone counts of one kinematic evaluation, bit for bit what
-    ``simulate_track_counts`` draws track by track on the
-    ``(seed, "track", i)`` streams.
+    """(M, L) in-zone counts of one kinematic evaluation.
 
-    A track's sampler call draws one total per window of non-zero pulses
-    and weight, and when no window holds more than MC_BLOCK pulses every
-    one takes the per-pulse kernel: one uniform per pulse, all in one
-    ``random`` call.  So each track draws just those uniforms from its own
-    stream (one ``stream_uniforms`` call keys a block's streams), one
-    ``pulse_totals`` call turns the uniforms of a block of tracks (all of
-    them, unless they hold more than PULSE_BLOCK pulses) into window
-    totals, and one ``bincount`` adds them up by crossing.  A
-    track of more than MC_BLOCK pulses, whose windows may exceed the cap,
-    is drawn by ``simulate_track_counts``.  The windows are looked up once
-    per distinct zone row object and pulse train value of the evaluation,
-    so equal trains share a lookup even when they are distinct objects.
+    Each window of non-zero pulses and weight is one (track, site, column,
+    pulses) entry, and ``sample_stream_sums`` draws track i's entries in
+    (s, j) order from the ``(seed, "track", i)`` stream: one exact sum of
+    that many pulses at weight ``w_is``.  One ``bincount`` per block adds
+    the totals up by crossing, and one clamp applies every capacity.  The
+    windows and capacities are looked up, all before anything is drawn,
+    once per distinct zone row object and pulse train value, so equal
+    trains share a lookup even when they are distinct objects.
     """
     m, l = config.m_tracks, config.l_columns
-    pulses = input_vector.pulses_per_track
-    looked_up, long_tracks = {}, []
-    windows = np.zeros((m, l, l), dtype=np.int32)
-    for i, pulse in enumerate(pulses):
-        key = id(config.zones[i]), pulse
-        track_windows = looked_up.get(key)
-        if track_windows is None:
-            track_windows = looked_up[key] = _track_windows(config, cal, i,
-                                                            pulse)
-        if pulse.count > MC_BLOCK:
-            long_tracks.append(i)
-        else:
-            windows[i] = track_windows
+    looked_up, found, which = {}, [], []
+    for i, (row, pulse) in enumerate(zip(config.zones,
+                                         input_vector.pulses_per_track)):
+        key = id(row), pulse
+        k = looked_up.get(key)
+        if k is None:
+            track_windows = _windows(row, pulse, cal)
+            if track_windows is None:
+                raise ValueError(f"zones of track {i} overlap or lie within "
+                                 f"{CAPACITY_DISPLACEMENT_UM} um of each other")
+            k = looked_up[key] = len(found)
+            found.append((track_windows, [z.capacity for z in row]))
+        which.append(k)
+    found_windows, capacities = zip(*found)
+    windows = np.stack(found_windows)[which]
     windows *= config.weights[:, :, None] > 0
-    sizes = windows.sum(axis=(1, 2))
+    track, site, column = np.nonzero(windows)
+    crossing = track * l + column
     counts = np.zeros(m * l)
-    edges = _block_edges(sizes)
-    for a, b in zip(edges, edges[1:]):
-        track, site, column = np.nonzero(windows[a:b])
-        track += a
-        n_pulses = windows[track, site, column]
-        u = stream_uniforms(seed, ("track",), a, sizes[a:b].tolist(),
-                            np.empty(sizes[a:b].sum()))
-        counts += np.bincount(track * l + column, minlength=m * l,
-                              weights=pulse_totals(config.weights[track, site],
-                                                   stochastic, n_pulses, u))
+    for entries, totals in sample_stream_sums(
+            config.weights[track, site], stochastic,
+            windows[track, site, column], 1, track,
+            streams(seed, ("track",), 0, m)):
+        counts += np.bincount(crossing[entries], weights=totals[:, 0],
+                              minlength=m * l)
     counts = counts.astype(np.int64).reshape(m, l)
-    for i in long_tracks:
-        counts[i] = simulate_track_counts(config, cal, i, pulses[i],
-                                          stochastic, stream(seed, "track", i))
     if config.enforce_capacity:
-        np.minimum(counts, [[z.capacity for z in row] for row in config.zones],
-                   out=counts)
+        np.minimum(counts, np.array(capacities)[which], out=counts)
     return counts
 
 
@@ -351,12 +276,10 @@ def run_weighted_sum(config: CrossbarConfig, input_vector: InputVector,
 
     Each track draws from its own derived stream, so a track's counts do
     not depend on which other tracks are present (linear-mode outputs are
-    therefore exactly additive across tracks when noise is off), and they
-    equal what ``simulate_track_counts`` draws for the track alone.  The
-    tracks only supply per-pulse uniforms: one ``pulse_totals`` call per
-    block of PULSE_BLOCK pulses turns those of every window of its tracks
-    into counts, which are added up by crossing and clamped at capacity
-    (see ``_kinematic_counts``).  The columns are read at once, from their
+    therefore exactly additive across tracks when noise is off).  Every
+    window of every track is one entry of a ``sample_stream_sums`` call,
+    whose totals are added up by crossing and clamped at capacity (see
+    ``_kinematic_counts``).  The columns are read at once, from their
     summed counts.
     """
     expected = expected_sums(config, input_vector)
@@ -381,46 +304,27 @@ def monte_carlo_column_counts(config: CrossbarConfig, input_vector: InputVector,
 
     This is the transport-free counterpart of ``run_weighted_sum``: the
     same sampler on the same per-track streams, with the ideal windows
-    (all N pulses of site j land in zone j).  Capacity is applied per
-    crossing when the config enforces it; zone geometry is not read.
-
-    A track whose crossings of non-zero weight all take the table kernel
-    (``_kernel``, from the arguments alone) draws what ``_draw_columns``
-    would: one uniform per trial and crossing, crossing after crossing.
-    It draws them a chunk of crossings of about MC_BLOCK uniforms at a
-    time, and one ``_lookup`` call turns each chunk into counts that are
-    clamped and added to their columns in place.  Any other track is drawn
-    by ``_draw_columns``.  The track streams come from one key pass.
+    (all N pulses of site j land in zone j).  Each crossing of non-zero
+    weight on a track with pulses is one entry, drawn by
+    ``sample_stream_sums`` in column order from its track's stream.  Each
+    entry's row of trials is clamped at its zone's capacity when the
+    config enforces it and added to its column; zone geometry is not read.
     """
     pulses = _pulse_counts(config, input_vector)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    weights, p_bar = config.weights, float(stochastic.p_bar)
-    # _kernel reads the (M, L, 4) outcomes transposed, tracks last, so the
-    # pulse counts broadcast along them.
-    outcomes, _ = pulse_distribution(weights, stochastic)
-    table = _kernel(outcomes, pulses, trials).T == TABLE
-    ideal = np.eye(config.l_columns, dtype=np.int64)
+    track, column = np.nonzero((config.weights > 0) & (pulses > 0)[:, None])
+    if config.enforce_capacity:
+        capacity = np.array([[z.capacity for z in row]
+                             for row in config.zones])[track, column, None]
     totals = np.zeros((config.l_columns, trials), dtype=np.int64)
-    rows = max(1, MC_BLOCK // trials)
-    buffer = np.empty(rows * trials)
-    for i, rng in enumerate(streams(seed, ("track",), 0, config.m_tracks)):
-        n = int(pulses[i])
-        cols = np.flatnonzero(weights[i] > 0) if n else np.empty(0, int)
-        if not table[i, cols].all():
-            totals += _draw_columns(config, i, n * ideal, stochastic, rng,
-                                    trials)
-            continue
-        for a in range(0, cols.size, rows):
-            chunk = cols[a:a + rows]
-            u = buffer[:chunk.size * trials].reshape(chunk.size, trials)
-            rng.random(out=u)
-            counts = _lookup([_sum_cdf(w, p_bar, n)
-                              for w in weights[i, chunk].tolist()], u)
-            for j, row in zip(chunk.tolist(), counts):
-                if config.enforce_capacity:
-                    np.minimum(row, config.zones[i][j].capacity, out=row)
-                totals[j] += row
+    for entries, counts in sample_stream_sums(
+            config.weights[track, column], stochastic, pulses[track], trials,
+            track, streams(seed, ("track",), 0, config.m_tracks)):
+        if config.enforce_capacity:
+            np.minimum(counts, capacity[entries], out=counts)
+        for j, row in zip(column[entries].tolist(), counts):
+            totals[j] += row
     return np.ascontiguousarray(totals.T)
 
 

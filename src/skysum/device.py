@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -126,29 +126,13 @@ class DeviceCalibration:
         return math.pi * d_um * d_um / 4.0
 
     def to_dict(self) -> dict:
-        return {
-            "weight_field_slope": self.weight_field_slope,
-            "field_max": self.field_max,
-            "field_min": self.field_min,
-            "duration_ref": self.duration_ref,
-            "duration_zero": self.duration_zero,
-            "current_ref": self.current_ref,
-            "current_threshold": self.current_threshold,
-            "velocity_points": [list(p) for p in self.velocity_points],
-            "hall_angle": self.hall_angle,
-            "per_skyrmion_voltage_mean": self.per_skyrmion_voltage_mean,
-            "per_skyrmion_voltage_std": self.per_skyrmion_voltage_std,
-            "skyrmion_diameter": self.skyrmion_diameter,
-            "track_width": self.track_width,
-            "track_length": self.track_length,
-            "notch_depth_fraction": self.notch_depth_fraction,
-            "multilayer_thickness": self.multilayer_thickness,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["velocity_points"] = [list(p) for p in self.velocity_points]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "DeviceCalibration":
-        known = set(cls().to_dict())
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown calibration fields: {sorted(unknown)}")
         kwargs = dict(data)

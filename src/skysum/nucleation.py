@@ -18,19 +18,19 @@ other total from one multinomial.  A pulse-by-pulse record is a batch of
 one-pulse totals.  Both take arrays too: ``pulse_distribution`` gives the
 laws of an array of weights, and ``sample_pulse_sums`` draws the totals of
 K (weight, pulse count) entries in one call, entry after entry on the
-stream, so one call draws exactly what K scalar calls would.  The
-per-pulse categorical is ``pulse_totals``, a function of the uniforms
-alone: the kinematic crossbar draws each track's uniforms from the
-track's own stream and transforms those of every track in one call.
+stream, so one call draws exactly what K scalar calls would.
+``sample_stream_sums`` draws entries from many generators, each as one
+``sample_pulse_sums`` call on it would, and transforms the uniforms of
+all of them together: the crossbar's tracks each draw from their own
+stream through it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,10 +42,9 @@ from .rng import stream
 #: the sequential result bit for bit.
 MC_BLOCK = 8192
 
-#: Uniforms per block of per-pulse draws.  Runs of per-pulse entries, and
-#: the tracks of a kinematic crossbar, are drawn and transformed a block
-#: at a time, which keeps their working memory near 2 MB however many
-#: entries or tracks there are.
+#: Uniforms per block of per-pulse draws.  Per-pulse entries, of one
+#: generator or many, are transformed a block at a time, which keeps their
+#: working memory near 2 MB however many entries or generators there are.
 PULSE_BLOCK = 8 * MC_BLOCK
 
 
@@ -148,27 +147,6 @@ def _place(values: np.ndarray, cdf: np.ndarray, n_pulses, u: np.ndarray
         idx += cdf.take(idx) <= u
     counts = np.bincount(idx, minlength=cdf.size).reshape(-1, 4)
     return np.einsum("kv,kv->k", counts, values.reshape(-1, 4))
-
-
-def _block_edges(sizes: np.ndarray) -> list[int]:
-    """Edges of consecutive blocks of entries of ``sizes`` uniforms: a
-    block holds the entries that start within one stretch of PULSE_BLOCK
-    uniforms, so it adds up to less than PULSE_BLOCK plus its last size."""
-    block = (np.cumsum(sizes) - sizes) // PULSE_BLOCK
-    return [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(sizes)]
-
-
-def pulse_totals(w, model: StochasticModel, n_pulses, u) -> np.ndarray:
-    """Totals of K (weight, pulse count) entries, 1-D ``w`` and
-    ``n_pulses``, from the per-pulse uniforms ``u`` in [0, 1): the first
-    ``n_pulses[0]`` are entry 0's, the next entry 1's, and so on.  Each
-    uniform is one pulse's count, placed on the one-pulse law of
-    ``pulse_distribution`` by inverse CDF.  This is the categorical of
-    ``sample_pulse_sums``' per-pulse kernel, for callers that draw the
-    uniforms of many calls and transform them at once.
-    """
-    values, probs = pulse_distribution(w, model)
-    return _place(values, _pulse_cdf(probs), n_pulses, u)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -280,20 +258,14 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
       quadratic in its length.
     - PULSES: a single total of at most MC_BLOCK pulses, such as a window
       of the kinematic crossbar, draws one uniform per pulse and sums
-      their outcomes by ``_place``, the categorical of ``pulse_totals``.
+      their outcomes by ``_place``.
     - MULTINOMIAL: any other entry takes the number of pulses landing on
       each outcome of ``pulse_distribution`` from a multinomial.
 
     Entries consume the stream one after another, so the array form draws
-    exactly what a loop of scalar calls over its entries would.  Each run
-    of consecutive table entries is one ``rng.random`` call, written into
-    the run's rows of the output and looked up by one ``_lookup`` call per
-    chunk of rows of about MC_BLOCK uniforms, so no other temporary
-    outgrows one chunk; each run of per-pulse entries is one
-    ``rng.random`` call of all their pulses and one ``_place`` per block of
-    about PULSE_BLOCK pulses; each run of multinomial entries is one
-    window-major multinomial call.  A scalar call reads its law from a
-    cache and skips the array bookkeeping.
+    exactly what a loop of scalar calls over its entries would; it is
+    ``sample_stream_sums`` on one generator.  A scalar call reads its law
+    from a cache and skips the array bookkeeping.
     """
     weights = np.asarray(w, dtype=float)
     n = np.asarray(n_pulses, dtype=np.int64)
@@ -312,35 +284,108 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
             steps = cdf[:3].searchsorted(rng.random(n), side="right")
             return values.take(steps).sum(keepdims=True)
         return rng.multinomial(n, probs, size=size) @ values
-    weights, n = weights.reshape(-1), n.reshape(-1)
-    values, probs = pulse_distribution(weights, model)
     totals = np.empty((n.size, size), dtype=np.int64)
-    start = 0
-    for kernel, group in itertools.groupby(
-            _kernel(values, n, size).tolist()):
-        stop = start + len(list(group))
-        run = slice(start, stop)
-        if kernel == TABLE:
-            u = totals[run].view(np.float64)   # drawn in place of the totals
-            rng.random(out=u)
-            rows = max(1, MC_BLOCK // size)
-            for a in range(start, stop, rows):
-                k = slice(a, min(a + rows, stop))
-                tables = [_sum_cdf(wk, p_bar, nk) for wk, nk
-                          in zip(weights[k].tolist(), n[k].tolist())]
-                totals[k] = _lookup(tables, u[a - start:k.stop - start])
-        elif kernel == PULSES:
-            edges = _block_edges(n[run])
-            for a, b in zip(edges, edges[1:]):
-                k = slice(start + a, start + b)
-                totals[k, 0] = _place(values[k], _pulse_cdf(probs[k]), n[k],
-                                      rng.random(n[k].sum()))
-        else:
+    for entries, block in sample_stream_sums(weights, model, n, size,
+                                             np.zeros_like(n), (rng,)):
+        totals[entries] = block
+    return totals.T
+
+
+def sample_stream_sums(w, model: StochasticModel, n_pulses, size: int,
+                       group, rngs) -> Iterator[tuple]:
+    """Totals of K (weight, pulse count) entries, 1-D ``w`` and
+    ``n_pulses``, ``size`` times each, entry k drawn from generator
+    ``group[k]`` of the iterable ``rngs``.  ``group`` is non-decreasing,
+    so a generator is done with before the next is asked for, and each
+    generator's entries are drawn exactly as one ``sample_pulse_sums``
+    call on them would draw them.
+
+    Yields ``(entries, totals)`` blocks holding each entry once:
+    ``entries`` indexes the K entries (a slice or an integer array) and
+    ``totals`` is their ``(len, size)`` int64 array.  A run of multinomial
+    entries is yielded as it is drawn.  Table and per-pulse uniforms are
+    held across generators and transformed together, by one ``_lookup``
+    once MC_BLOCK table uniforms (or one longer row) are waiting and one
+    ``_place`` once PULSE_BLOCK per-pulse uniforms are, so no temporary
+    outgrows about a block however many entries or generators there are.
+    """
+    weights = np.asarray(w, dtype=float).reshape(-1)
+    n = np.asarray(n_pulses, dtype=np.int64).reshape(-1)
+    group = np.asarray(group, dtype=np.int64).reshape(-1)
+    if (n < 0).any():
+        raise ValueError("n_pulses must be >= 0")
+    if not n.size:
+        return
+    p_bar = float(model.p_bar)
+    values, probs = pulse_distribution(weights, model)
+    cdf = _pulse_cdf(probs)
+    kernel = _kernel(values, n, size)
+    # Runs of one generator and kernel, keyed 3 * group + kernel.
+    key = 3 * group + kernel
+    edges = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
+    # Per kernel: the uniforms a block waits for and the most it holds (a
+    # per-pulse block ends at the entry that takes it past PULSE_BLOCK),
+    # its buffer and its entries [start, stop, count, uniforms].
+    rows = max(1, MC_BLOCK // max(size, 1))
+    full = rows * size, PULSE_BLOCK
+    room = rows * size, PULSE_BLOCK + MC_BLOCK
+    buffers, held = [None, None], [[0, 0, 0, 0], [0, 0, 0, 0]]
+
+    def transform(kind):
+        start, stop, count, fill = held[kind]
+        held[kind][:] = stop, stop, 0, 0
+        entries = (slice(start, stop) if stop - start == count
+                   else start + np.flatnonzero(kernel[start:stop] == kind))
+        u = buffers[kind][:fill]
+        if kind == PULSES:
+            return entries, _place(values[entries], cdf[entries], n[entries],
+                                   u)[:, None]
+        tables = [_sum_cdf(wk, p_bar, nk) for wk, nk
+                  in zip(weights[entries].tolist(), n[entries].tolist())]
+        return entries, _lookup(tables, u.reshape(count, size))
+
+    generators, at = iter(rngs), -1
+    for k, start, stop, m in zip(key[edges].tolist(), edges,
+                                 edges[1:] + [n.size],
+                                 np.add.reduceat(n, edges).tolist()):
+        g, kind = divmod(k, 3)
+        if g < at:
+            raise ValueError("group must be non-decreasing")
+        while at < g:
+            rng, at = next(generators), at + 1
+        if kind == MULTINOMIAL:
+            run = slice(start, stop)
             draws = rng.multinomial(n[run, None], probs[run, None, :],
                                     size=(stop - start, size))
-            totals[run] = np.einsum("ksv,kv->ks", draws, values[run])
-        start = stop
-    return totals.T
+            yield run, np.einsum("ksv,kv->ks", draws, values[run])
+            continue
+        if kind == TABLE:
+            m = (stop - start) * size
+        if buffers[kind] is None:   # at most what the rest of the call holds
+            rest = (n.size - start) * size if kind == TABLE else n[start:].sum()
+            buffers[kind] = np.empty(min(room[kind], int(rest)))
+        block, buffer = held[kind], buffers[kind]
+        while start < stop:
+            fill, cut, take = block[3], stop, m
+            free = room[kind] - fill
+            if m > free:   # draw the entries that fit
+                if kind == TABLE:
+                    cut = start + free // size
+                    take = (cut - start) * size
+                else:
+                    ends = np.cumsum(n[start:stop])
+                    cut = start + int(ends.searchsorted(free, side="right"))
+                    take = int(ends[cut - start - 1]) if cut > start else 0
+            if not block[2]:
+                block[0] = start
+            rng.random(out=buffer[fill:fill + take])
+            block[1:] = cut, block[2] + cut - start, fill + take
+            start, m = cut, m - take
+            if fill + take >= full[kind] or start < stop:
+                yield transform(kind)
+    for kind in (TABLE, PULSES):
+        if held[kind][2]:
+            yield transform(kind)
 
 
 def simulate_cumulative(w: float, model: StochasticModel, n_pulses: int,

@@ -312,10 +312,7 @@ def drift_correct(trace: MeasurementTrace) -> MeasurementTrace:
             "drift correction needs >= 2 baseline/post samples")
     x = np.asarray(trace.index, dtype=float)[sel]
     y = np.asarray(trace.delta_v, dtype=float)[sel]
-    if np.all(x == x[0]):  # single index cannot happen (strictly increasing)
-        slope, intercept = 0.0, float(y.mean())
-    else:
-        slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = np.polyfit(x, y, 1)
     corrected = trace.delta_v - (slope * np.asarray(trace.index, dtype=float)
                                  + intercept)
     return replace(trace, delta_v=corrected)

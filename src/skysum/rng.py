@@ -7,8 +7,7 @@ derivation: the path's words are the spawn key of numpy's ``SeedSequence``
 yields the same stream, independent of how many other streams were created
 before it, so parallel trials and per-track simulations are
 bit-reproducible.  ``stream`` derives one path; ``streams`` derives a run of
-paths that differ in their last integer all at once, bit for bit, and
-``stream_uniforms`` draws the first uniforms of each.
+paths that differ in their last integer all at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -88,20 +87,11 @@ def streams(seed: int, prefix: tuple, first: int, count: int):
         words.append(value ^ value >> 16)
     bit_generator = np.random.Philox(key=0)
     generator, state = np.random.Generator(bit_generator), bit_generator.state
-    for key in zip(words[0] | words[1] << 32, words[2] | words[3] << 32):
+    # As lists of ints the state is set in half the time of numpy arrays.
+    state["state"]["counter"] = state["buffer"] = [0] * 4
+    for key in zip((words[0] | words[1] << 32).tolist(),
+                   (words[2] | words[3] << 32).tolist()):
         state["state"]["key"] = key
         bit_generator.state = state
         yield generator
 
-
-def stream_uniforms(seed: int, prefix: tuple, first: int, sizes,
-                    out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the first ``sizes[k]`` uniforms of
-    ``stream(seed, *prefix, first + k)``, one stream after another."""
-    sizes = list(sizes)
-    stop = 0
-    for generator, size in zip(streams(seed, prefix, first, len(sizes)),
-                               sizes):
-        start, stop = stop, stop + size
-        generator.random(out=out[start:stop])
-    return out

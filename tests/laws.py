@@ -71,15 +71,20 @@ def draw_windows(config, track, windows, model, rng, size):
     return counts
 
 
+def track_counts(config, cal, track, pulse, model, seed):
+    """(L,) in-zone counts of one track of a kinematic weighted sum:
+    ``draw_windows`` over the track's ``trajectory`` windows, from its
+    (seed, "track", i) stream."""
+    windows = trajectory_windows(config.zones[track], pulse, cal)
+    return draw_windows(config, track, windows, model,
+                        stream(seed, "track", track), 1)[0]
+
+
 def window_weighted_sum(config, input_vector, model, cal, seed):
-    """(M, L) ``per_track`` of a kinematic weighted sum, drawn window by
-    window over each track's ``trajectory`` from its (seed, "track", i)
-    stream."""
-    return np.array([
-        draw_windows(config, i, trajectory_windows(config.zones[i], pulse,
-                                                   cal),
-                     model, stream(seed, "track", i), 1)[0]
-        for i, pulse in enumerate(input_vector.pulses_per_track)])
+    """(M, L) ``per_track`` of a kinematic weighted sum, drawn track by
+    track and window by window."""
+    return np.array([track_counts(config, cal, i, pulse, model, seed)
+                     for i, pulse in enumerate(input_vector.pulses_per_track)])
 
 
 def window_column_counts(config, input_vector, model, trials, seed):

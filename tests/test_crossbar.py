@@ -25,7 +25,8 @@ from skysum import (
     run_weighted_sum,
     stream,
 )
-from skysum.crossbar import _draw_columns, _windows, simulate_track_counts
+from skysum import crossbar
+from skysum.crossbar import _windows
 from skysum.nucleation import MC_BLOCK, PULSE_BLOCK, pulse_distribution
 from skysum.transport import (
     SkyrmionPopulation,
@@ -37,6 +38,7 @@ from skysum.transport import (
 from laws import (
     assert_follows,
     sum_pmf,
+    track_counts,
     trajectory_windows,
     window_column_counts,
     window_weighted_sum,
@@ -167,11 +169,8 @@ class TestRunWeightedSum:
         cfg = two_track(cal4, w=(1.0, 1.0))
         model = StochasticModel(0.4)
         res = run_weighted_sum(cfg, inputs(20, 20), model, cal4, seed=9)
-        alone = [
-            simulate_track_counts(cfg, cal4, i, PulseTrain(20, J4, T4),
-                                  model, stream(9, "track", i))
-            for i in range(2)
-        ]
+        alone = [track_counts(cfg, cal4, i, PulseTrain(20, J4, T4), model, 9)
+                 for i in range(2)]
         assert res.per_track[0, 0] == alone[0][0]
         assert res.per_track[1, 0] == alone[1][0]
         assert res.n_detec[0] == alone[0][0] + alone[1][0]
@@ -333,23 +332,28 @@ class TestCohortPlacement:
 
     def test_no_pulses(self, cal4):
         cfg = build_crossbar(cal4, [[1.0, 2.0]])
-        counts = simulate_track_counts(cfg, cal4, 0, PulseTrain(0, J4, T4),
-                                       StochasticModel(0.4), stream(0))
-        assert counts.tolist() == [0, 0]
+        pulse = PulseTrain(0, J4, T4)
+        res = run_weighted_sum(cfg, InputVector((pulse,)),
+                               StochasticModel(0.4), cal4, seed=0)
+        assert res.per_track.tolist() == [[0, 0]]
+        assert track_counts(cfg, cal4, 0, pulse, StochasticModel(0.4),
+                            0).tolist() == [0, 0]
 
     @pytest.mark.parametrize("pitch", [3.0, 6.0, 6.0005])
-    def test_zones_too_close_rejected_before_drawing(self, cal4, pitch):
+    def test_zones_too_close_rejected_before_drawing(self, cal4, pitch,
+                                                     monkeypatch):
         # 6 um zones: overlapping, touching, or so close that a skyrmion
-        # crowded out of one zone would be parked inside the next.
-        cfg = build_crossbar(cal4, [[1.0, 1.0]], zone_pitch=pitch)
-        rng = stream(0)
-        with pytest.raises(ValueError, match="zones of track 0"):
-            simulate_track_counts(cfg, cal4, 0, PulseTrain(5, J4, T4),
-                                  StochasticModel(0.4), rng)
-        assert rng.random() == stream(0).random()
-        with pytest.raises(ValueError):
-            run_weighted_sum(cfg, InputVector((PulseTrain(5, J4, T4),)),
-                             StochasticModel(0.4), cal4)
+        # crowded out of one zone would be parked inside the next.  Track
+        # 1's row is refused before track 0, whose row is fine, draws.
+        cfg = build_crossbar(cal4, [[1.0, 1.0], [1.0, 1.0]])
+        close = build_crossbar(cal4, [[1.0, 1.0]], zone_pitch=pitch)
+        cfg = dataclasses.replace(cfg, zones=(cfg.zones[0], close.zones[0]))
+        drawn = []
+        monkeypatch.setattr(crossbar, "sample_stream_sums",
+                            lambda *args: drawn.append(args) or iter(()))
+        with pytest.raises(ValueError, match="zones of track 1"):
+            run_weighted_sum(cfg, inputs(5, 5), StochasticModel(0.4), cal4)
+        assert drawn == []
 
 
 def _lossy_at(current):
@@ -432,6 +436,43 @@ class TestStreamIdentity:
             np.testing.assert_array_equal(
                 res.per_track, window_weighted_sum(cfg, iv, model, cal4, seed))
 
+
+    @pytest.mark.parametrize("enforce", [True, False],
+                             ids=["capacity", "no-capacity"])
+    def test_long_track_equals_window_loop(self, cal4, enforce):
+        # A track of more than MC_BLOCK pulses whose skyrmions move on and
+        # out: its windows are short and take the per-pulse kernel, drawn
+        # with the other track's from one block of uniforms.
+        cfg = build_crossbar(cal4, [[1.3, 0.4], [2.3, 0.0]], capacity=40,
+                             enforce_capacity=enforce)
+        iv = InputVector((PulseTrain(MC_BLOCK + 808, J4, T4),
+                          PulseTrain(30, J4, T4)))
+        windows = _windows(cfg.zones[0], iv.pulses_per_track[0], cal4)
+        assert 0 < windows.max() <= MC_BLOCK
+        model = StochasticModel(0.4)
+        for seed in range(2):
+            res = run_weighted_sum(cfg, iv, model, cal4, seed=seed)
+            np.testing.assert_array_equal(
+                res.per_track, window_weighted_sum(cfg, iv, model, cal4, seed))
+
+    def test_single_trial_column_counts_equal_window_loop(self, cal4):
+        # One trial, as stochastic inference at trials=1 draws: tracks over
+        # MC_BLOCK pulses take the multinomial, the others one uniform per
+        # pulse, over several blocks of PULSE_BLOCK uniforms held across
+        # tracks; tracks without pulses and zero weights draw nothing.
+        weights = np.random.default_rng(4).uniform(0.0, 3.0, (24, 6))
+        weights[::5, 2] = 0.0
+        cfg = build_crossbar(cal4, weights, zone_start_x=1.0, zone_pitch=6.5,
+                             capacity=9000)
+        counts = [MC_BLOCK + 5 if i % 7 == 3 else 0 if i % 7 == 5 else 8000
+                  for i in range(24)]
+        assert sum(counts) * 6 > 2 * PULSE_BLOCK
+        iv = InputVector(tuple(PulseTrain(n, J4, T4) for n in counts))
+        model = StochasticModel(0.4)
+        for seed in range(2):
+            np.testing.assert_array_equal(
+                monte_carlo_column_counts(cfg, iv, model, 1, seed=seed),
+                window_column_counts(cfg, iv, model, 1, seed=seed))
 
     def test_many_pulses_in_bounded_memory(self, cal4):
         # 16 tracks of 8 columns and 8000 pulses that stay in their zones:
@@ -558,13 +599,13 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("enforce", [True, False],
                              ids=["capacity", "no-capacity"])
     def test_column_counts_equal_track_draws(self, cal4, trials, enforce):
-        # Tracks of table crossings are drawn a chunk at a time, the others
-        # by ``_draw_columns``; both give what one ``_draw_columns`` call
-        # per track gives on its (seed, "track", i) stream.  At 20 pulses
-        # and 50 trials, weights below 1 span 40 totals and take the table
-        # and weights above 1 span 60 and do not, so track 0 mixes kernels;
-        # track 1 has no pulses, track 2 only zero weights, and 3000 pulses
-        # span 6000 or 9000 totals around MC_BLOCK.
+        # One call draws every track's crossings from its own stream, what
+        # one scalar call per crossing gives on the (seed, "track", i)
+        # streams.  At 20 pulses and 50 trials, weights below 1 span 40
+        # totals and take the table and weights above 1 span 60 and do
+        # not, so track 0 mixes kernels; track 1 has no pulses, track 2
+        # only zero weights, and 3000 pulses span 6000 or 9000 totals
+        # around MC_BLOCK.
         weights = np.array([[0.5, 1.5, 0.0, 0.3, 2.3, 1.0],
                             [1.0, 2.0, 0.5, 0.0, 0.7, 3.0],
                             [0.0] * 6,
@@ -575,13 +616,10 @@ class TestMonteCarlo:
         pulses = (20, 0, 35, 3000 if trials == 9000 else 40, 7)
         iv = InputVector(tuple(PulseTrain(n, J4, T4) for n in pulses))
         model = StochasticModel(0.4)
-        ideal = np.eye(6, dtype=np.int64)
-        want = sum(_draw_columns(cfg, i, n * ideal, model,
-                                 stream(5, "track", i), trials)
-                   for i, n in enumerate(pulses))
         got = monte_carlo_column_counts(cfg, iv, model, trials, seed=5)
         assert got.shape == (trials, 6) and got.flags.c_contiguous
-        np.testing.assert_array_equal(got, want.T)
+        np.testing.assert_array_equal(
+            got, window_column_counts(cfg, iv, model, trials, seed=5))
         if enforce:
             free = monte_carlo_column_counts(
                 dataclasses.replace(cfg, enforce_capacity=False), iv, model,

@@ -20,13 +20,14 @@ from skysum import (
     monte_carlo_sigma,
     paper2024,
     pulse_distribution,
-    pulse_totals,
     quantize,
     sample_pulse_sums,
+    sample_stream_sums,
     simulate_cumulative,
     stream,
 )
 from skysum.crossbar import monte_carlo_column_counts
+from skysum.rng import streams
 from skysum.nucleation import (
     MC_BLOCK,
     PULSE_BLOCK,
@@ -358,6 +359,25 @@ class TestSumKernels:
         assert info.misses == info.currsize == len(laws)
 
 
+class Uniforms:
+    """Stand-in generator whose ``random`` hands out the given uniforms in
+    order, so a kernel can be fed chosen values."""
+
+    def __init__(self, u):
+        self.u, self.at = np.asarray(u, dtype=float), 0
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out.reshape(-1)[:] = self.u[self.at:self.at + out.size]
+        self.at += out.size
+        return out
+
+
+def one_pulse_table(w, p_bar, u):
+    """Outcome of each uniform ``u`` on the one-pulse table."""
+    return _lookup([_sum_cdf(w, p_bar, 1)], np.asarray(u)[None])[0]
+
+
 def one_pulse_edges(w, p_bar):
     """Every cdf value a one-pulse draw is compared with, below 1."""
     _, cdf, _ = _sum_cdf(w, p_bar, 1)
@@ -391,14 +411,18 @@ class TestPerPulseKernel:
                             np.random.default_rng(seed).random(16)])
         u = u[u >= 0.0]
         model = StochasticModel(p_bar)
-        placed = _lookup([_sum_cdf(w, p_bar, 1)], u[None])[0]
-        np.testing.assert_array_equal(
-            pulse_totals(np.full(u.size, w), model, np.ones(u.size, int), u),
-            placed)
+        placed = one_pulse_table(w, p_bar, u)
+        got = sample_pulse_sums(np.full(u.size, w), model, Uniforms(u),
+                                np.ones(u.size, int), 1)
+        np.testing.assert_array_equal(got[0], placed)
+        # An entry of no pulses takes the table: one uniform, total 0.
         n = np.array([split, 0, u.size - split])
+        fed = np.concatenate([u[:split], [0.5], u[split:]])
+        if not split:
+            fed = np.concatenate([[0.5], fed])
+        got = sample_pulse_sums(np.full(3, w), model, Uniforms(fed), n, 1)
         np.testing.assert_array_equal(
-            pulse_totals(np.full(3, w), model, n, u),
-            [placed[:split].sum(), 0, placed[split:].sum()])
+            got[0], [placed[:split].sum(), 0, placed[split:].sum()])
 
     @pytest.mark.parametrize("w", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("p_bar", [0.4, 1.0])
@@ -408,8 +432,10 @@ class TestPerPulseKernel:
         model = StochasticModel(p_bar)
         u = np.concatenate([[1 - 2**-53], np.nextafter(one_pulse_edges(
             w, p_bar), 1), stream(0, "int", w, p_bar).random(5000)])
-        counts = pulse_totals(np.full(u.size, w), model,
-                              np.ones(u.size, dtype=np.int64), u)
+        counts = sample_pulse_sums(np.full(u.size, w), model, Uniforms(u),
+                                   np.ones(u.size, dtype=np.int64), 1)
+        np.testing.assert_array_equal(counts[0],
+                                      one_pulse_table(w, p_bar, u))
         assert counts.max() == w + 1
         draws = sample_pulse_sums(np.full(5000, w), model,
                                   stream(1, "int", w, p_bar),
@@ -470,8 +496,8 @@ class TestPerPulseKernel:
         model = StochasticModel(p_bar)
         g, ref = stream(seed, "scalar"), stream(seed, "scalar")
         got = sample_pulse_sums(w, model, g, n_pulses, 1)
-        want = pulse_totals(np.array([w]), model, [n_pulses],
-                            ref.random(n_pulses))
+        want = one_pulse_table(w, p_bar, ref.random(n_pulses)).sum(
+            keepdims=True)
         assert got.shape == (1,) and got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
         assert g.random() == ref.random()
@@ -482,7 +508,7 @@ class TestPerPulseKernel:
         model = StochasticModel(0.4)
         g, ref = stream(0, "pp"), stream(0, "pp")
         got = sample_pulse_sums(2.3, model, g, 40, 1)
-        want = pulse_totals(np.array([2.3]), model, [40], ref.random(40))
+        want = one_pulse_table(2.3, 0.4, ref.random(40)).sum(keepdims=True)
         np.testing.assert_array_equal(got, want)
         assert g.random() == ref.random()
 
@@ -539,6 +565,65 @@ class TestArrayForm:
             sample_pulse_sums(w if w.ndim else 1.0, StochasticModel(0.4), g,
                               n_pulses, size)
         assert g.random() == stream(0, "neg").random()
+
+
+WEIGHTS = st.one_of(st.sampled_from([0.0, 0.3, 1.0, 2.3]), st.floats(0.0, 4.0))
+PULSES = st.one_of(st.sampled_from([0, 1, 7, 40, 300, MC_BLOCK, MC_BLOCK + 3]),
+                   st.integers(0, 60))
+
+
+class TestStreamSums:
+    """Entries of many generators in one call, each generator's drawn as
+    one ``sample_pulse_sums`` call on it would draw them."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(entries=st.lists(st.tuples(st.integers(0, 4), WEIGHTS, PULSES),
+                            max_size=14),
+           p_bar=st.one_of(st.just(0.4), st.floats(0.0, 1.0)),
+           size=st.one_of(st.sampled_from([1, 1, 2, 1000, MC_BLOCK + 1]),
+                          st.integers(1, 300)),
+           seed=st.integers(0, 2**32 - 1))
+    # All three kernels in one group and across groups, with empty groups,
+    # zero pulses and zero weights.
+    @example(entries=[(0, 1.0, 40), (0, 0.0, 40), (0, 2.3, MC_BLOCK + 3),
+                      (0, 0.3, 0), (2, 2.3, MC_BLOCK + 3), (2, 1.0, 7),
+                      (4, 0.3, 300)], p_bar=0.4, size=1, seed=0)
+    # Per-pulse uniforms of several blocks held across groups.
+    @example(entries=[(g, 1.0 + 0.1 * g, MC_BLOCK) for g in range(5)
+                      for _ in range(3)], p_bar=0.4, size=1, seed=1)
+    # Table rows in chunks across groups, between multinomial runs.
+    @example(entries=[(0, 0.3, 40), (0, 1.0, 40), (0, 2.3, 300),
+                      (1, 0.3, 7), (3, 1.0, 1), (3, 0.0, 60), (3, 2.3, 0)],
+             p_bar=0.4, size=1000, seed=2)
+    @example(entries=[(0, 1.0, 7), (1, 2.3, 60), (1, 0.0, 0)], p_bar=0.4,
+             size=MC_BLOCK + 1, seed=3)
+    def test_equals_one_call_per_group(self, entries, p_bar, size, seed):
+        entries = sorted(entries, key=lambda e: e[0])
+        group = np.array([e[0] for e in entries], dtype=np.int64)
+        w = np.array([e[1] for e in entries], dtype=float)
+        n = np.array([e[2] for e in entries], dtype=np.int64)
+        model = StochasticModel(p_bar)
+        got = np.full((len(entries), size), -1, dtype=np.int64)
+        seen = np.zeros(len(entries), dtype=int)
+        for k, totals in sample_stream_sums(w, model, n, size, group,
+                                            streams(seed, ("sss",), 0, 6)):
+            assert totals.dtype == np.int64
+            assert totals.shape == (seen[k].size, size)
+            seen[k] += 1
+            got[k] = totals
+        assert (seen == 1).all()
+        for g in range(6):
+            mine = group == g
+            np.testing.assert_array_equal(
+                got[mine].T, sample_pulse_sums(w[mine], model,
+                                               stream(seed, "sss", g),
+                                               n[mine], size))
+
+    def test_group_must_not_decrease(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            list(sample_stream_sums([1.0, 1.0], StochasticModel(0.4),
+                                    [3, 3], 1, [1, 0],
+                                    streams(0, ("x",), 0, 2)))
 
 
 class TestSigma:

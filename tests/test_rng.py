@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skysum import stream
-from skysum.rng import stream_uniforms, streams
+from skysum.rng import streams
 
 
 class TestStream:
@@ -45,7 +45,17 @@ PREFIXES = st.lists(st.one_of(st.text(max_size=6),
                               st.integers(0, 2**32 - 1)), max_size=4)
 
 
+def _stream_uniforms(seed, prefix, first, sizes):
+    """The first ``sizes[k]`` uniforms of each ``streams`` yield k, one
+    stream after another."""
+    return np.concatenate([np.empty(0)] + [
+        g.random(size)
+        for g, size in zip(streams(seed, prefix, first, len(sizes)), sizes)])
+
+
 class TestStreamUniforms:
+    """The first uniforms of each stream of one key pass are numpy's."""
+
     @given(seed=SEEDS, prefix=PREFIXES, first=st.integers(0, 2**32 - 1),
            sizes=st.lists(st.integers(0, 5), max_size=8))
     @settings(max_examples=300, deadline=None)
@@ -60,8 +70,7 @@ class TestStreamUniforms:
             # Any overflow warning of the uint64 hashing is an error here,
             # not only a RuntimeWarning.
             warnings.simplefilter("error")
-            out = stream_uniforms(seed, tuple(prefix), first, sizes,
-                                  np.empty(sum(sizes)))
+            out = _stream_uniforms(seed, tuple(prefix), first, sizes)
         np.testing.assert_array_equal(
             out, _reference_uniforms(seed, prefix, first, sizes))
 
@@ -72,7 +81,7 @@ class TestStreamUniforms:
         with pytest.raises(ValueError):
             stream(1, *prefix, first + n - 1 if n else first)
         with pytest.raises(ValueError):
-            stream_uniforms(1, prefix, first, [1] * n, np.empty(n))
+            list(streams(1, prefix, first, n))
 
 
 class TestStreams:
