@@ -69,7 +69,6 @@ class CrossbarConfig:
     series_resistance: float = 12000.0
     readout_mode: str = LINEAR_AHE
     mtj: MtjConfig | None = None
-    enforce_capacity: bool = True
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.weights, dtype=float))
@@ -128,8 +127,8 @@ def build_crossbar(cal: DeviceCalibration, weights, *,
                    track_resistances=None, series_resistance: float = 12000.0,
                    readout_mode: str = LINEAR_AHE, mtj: MtjConfig | None = None,
                    zone_start_x: float = 5.0, zone_pitch: float = 10.0,
-                   zone_side: float = 6.0, capacity: int | None = None,
-                   enforce_capacity: bool = True) -> CrossbarConfig:
+                   zone_side: float = 6.0,
+                   capacity: int | None = None) -> CrossbarConfig:
     """Lay out a crossbar with evenly pitched detection zones.
 
     Column j's zone starts at ``zone_start_x + j * zone_pitch`` (its left
@@ -161,7 +160,6 @@ def build_crossbar(cal: DeviceCalibration, weights, *,
         series_resistance=series_resistance,
         readout_mode=readout_mode,
         mtj=mtj,
-        enforce_capacity=enforce_capacity,
     )
 
 
@@ -174,6 +172,14 @@ def _pulse_counts(config: CrossbarConfig,
             f"{config.m_tracks} tracks")
     return np.array([p.count for p in input_vector.pulses_per_track],
                     dtype=np.int64)
+
+
+def _capacities(config: CrossbarConfig) -> np.ndarray:
+    """(M, L) zone capacities, read once per distinct zone row object."""
+    rows = {id(row): row for row in config.zones}
+    index = {key: k for k, key in enumerate(rows)}
+    return np.array([[zone.capacity for zone in row] for row in rows.values()],
+                    dtype=np.int64)[[index[id(row)] for row in config.zones]]
 
 
 def expected_sums(config: CrossbarConfig, input_vector: InputVector) -> np.ndarray:
@@ -218,26 +224,22 @@ def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
     (s, j) order from the ``(seed, "track", i)`` stream: one exact sum of
     that many pulses at weight ``w_is``.  One ``bincount`` per block adds
     the totals up by crossing, and one clamp applies every capacity.  The
-    windows and capacities are looked up, all before anything is drawn,
-    once per distinct zone row object and pulse train value, so equal
-    trains share a lookup even when they are distinct objects.
+    windows are looked up, all before anything is drawn, once per distinct
+    zone row object and pulse train value, so equal trains share a lookup
+    even when they are distinct objects.
     """
     m, l = config.m_tracks, config.l_columns
     looked_up, found, which = {}, [], []
     for i, (row, pulse) in enumerate(zip(config.zones,
                                          input_vector.pulses_per_track)):
-        key = id(row), pulse
-        k = looked_up.get(key)
-        if k is None:
-            track_windows = _windows(row, pulse, cal)
-            if track_windows is None:
+        k = looked_up.setdefault((id(row), pulse), len(found))
+        if k == len(found):
+            found.append(_windows(row, pulse, cal))
+            if found[k] is None:
                 raise ValueError(f"zones of track {i} overlap or lie within "
                                  f"{CAPACITY_DISPLACEMENT_UM} um of each other")
-            k = looked_up[key] = len(found)
-            found.append((track_windows, [z.capacity for z in row]))
         which.append(k)
-    found_windows, capacities = zip(*found)
-    windows = np.stack(found_windows)[which]
+    windows = np.stack(found)[which]
     windows *= config.weights[:, :, None] > 0
     track, site, column = np.nonzero(windows)
     crossing = track * l + column
@@ -249,9 +251,7 @@ def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
         counts += np.bincount(crossing[entries], weights=totals[:, 0],
                               minlength=m * l)
     counts = counts.astype(np.int64).reshape(m, l)
-    if config.enforce_capacity:
-        np.minimum(counts, np.array(capacities)[which], out=counts)
-    return counts
+    return np.minimum(counts, _capacities(config), out=counts)
 
 
 @dataclass(frozen=True)
@@ -307,22 +307,19 @@ def monte_carlo_column_counts(config: CrossbarConfig, input_vector: InputVector,
     (all N pulses of site j land in zone j).  Each crossing of non-zero
     weight on a track with pulses is one entry, drawn by
     ``sample_stream_sums`` in column order from its track's stream.  Each
-    entry's row of trials is clamped at its zone's capacity when the
-    config enforces it and added to its column; zone geometry is not read.
+    entry's row of trials is clamped at its zone's capacity, the one
+    crowding rule, and added to its column; zone geometry is not read.
     """
     pulses = _pulse_counts(config, input_vector)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     track, column = np.nonzero((config.weights > 0) & (pulses > 0)[:, None])
-    if config.enforce_capacity:
-        capacity = np.array([[z.capacity for z in row]
-                             for row in config.zones])[track, column, None]
+    capacity = _capacities(config)[track, column, None]
     totals = np.zeros((config.l_columns, trials), dtype=np.int64)
     for entries, counts in sample_stream_sums(
             config.weights[track, column], stochastic, pulses[track], trials,
             track, streams(seed, ("track",), 0, config.m_tracks)):
-        if config.enforce_capacity:
-            np.minimum(counts, capacity[entries], out=counts)
+        np.minimum(counts, capacity[entries], out=counts)
         for j, row in zip(column[entries].tolist(), counts):
             totals[j] += row
     return np.ascontiguousarray(totals.T)
@@ -372,8 +369,7 @@ def run_fig4_protocol(config: CrossbarConfig, per_track_pulse_specs,
             weight=config.weights[t, 0],
             pulse=specs[t],
             stochastic=stochastic,
-            rng=stream(seed, "track", t),
-            enforce_capacity=config.enforce_capacity)
+            rng=stream(seed, "track", t))
         for t in range(2)
     ]
     plan = (("baseline", baseline, None), ("pulsing", specs[0].count, 0),

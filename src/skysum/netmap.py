@@ -159,9 +159,10 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
     pair; with the identity readout this is exactly the quantised
     matrix-vector product.  Stochastic mode draws the column counts with
     ``monte_carlo_column_counts``: the crossbar's window sampler under
-    ideal transport (every nucleated skyrmion reaches its zone, capacity
-    applied per crossing), one random stream per track.  It returns one
-    row per trial (shape (trials, L); a single trial returns shape (L,)).
+    ideal transport (every nucleated skyrmion reaches its zone, whose
+    ``capacity`` is the one crowding rule; None is a capacity that no count
+    reaches), one random stream per track.  It returns one row per trial
+    (shape (trials, L); a single trial returns shape (L,)).
     """
     x = np.asarray(input_vector, dtype=np.int64)
     m, l = layer.shape
@@ -185,8 +186,9 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
     # Differential pairs as a 2L-column crossbar.  Ideal transport reads
     # no zone geometry, so every zone may sit on the same site.
     weights = np.concatenate([layer.w_pos, layer.w_neg], axis=1)
-    config = build_crossbar(cal, weights, zone_pitch=0.0, capacity=capacity,
-                            enforce_capacity=capacity is not None)
+    # None is unclamped: a capacity that no int64 count reaches.
+    config = build_crossbar(cal, weights, zone_pitch=0.0, capacity=(
+        np.iinfo(np.int64).max if capacity is None else capacity))
     pulses = InputVector(tuple(
         PulseTrain(int(n), cal.current_ref, cal.duration_ref) for n in x))
     counts = monte_carlo_column_counts(config, pulses, stochastic,

@@ -47,7 +47,6 @@ class MeasurementTrace:
     phase: tuple
     delta_v: np.ndarray
     n_detec: np.ndarray
-    read_current: float = 100.0  # uA
 
     def __post_init__(self):
         n = len(self.index)
@@ -155,7 +154,6 @@ class TrackDevice:
     field: FieldSetting
     pulse: PulseTrain
     stochastic: StochasticModel
-    enforce_capacity: bool = True
 
     def __post_init__(self):
         if not zone_within_track(self.zone, self.cal):
@@ -183,7 +181,6 @@ class SequencedTrack:
     pulse: PulseTrain
     stochastic: StochasticModel
     rng: np.random.Generator | None
-    enforce_capacity: bool = True
 
 
 def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
@@ -244,7 +241,7 @@ def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
                 held = born[:k + 1] * inside[t][k::-1]
                 in_zone[t] = int(held.sum())
                 excess = in_zone[t] - pulsed.zone.capacity
-                if pulsed.enforce_capacity and excess > 0:
+                if excess > 0:
                     younger = np.cumsum(held[::-1])[::-1] - held
                     born[:k + 1] -= np.clip(excess - younger, 0, held)
                     in_zone[t] = pulsed.zone.capacity
@@ -284,8 +281,7 @@ def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
     track = SequencedTrack(
         zone=device.zone, notch=notch_position(device.cal),
         weight=device.weight,
-        pulse=device.pulse, stochastic=device.stochastic, rng=rng,
-        enforce_capacity=device.enforce_capacity)
+        pulse=device.pulse, stochastic=device.stochastic, rng=rng)
     return run_phases([(name, count, 0) for name, count in protocol.phases],
                       [track], device.cal, meas_rng=rng, noise=noise,
                       sigma_meas=sigma_meas, drift_rate=drift_rate)

@@ -65,16 +65,17 @@ def streams(seed: int, prefix: tuple, first: int, count: int):
     padded to four when there is a spawn key, then the prefix, so the hash
     constant has advanced 16 + 4 steps per word past the fourth.  The last
     word is mixed in and ``generate_state(2, uint64)`` applied on uint64
-    arrays masked to 32 bits; each key re-keys one Philox.
+    arrays masked to 32 bits; each key re-keys one Philox, seeded from the
+    prefix's sequence (any seed would do) so that it reads no OS entropy.
     """
     _path_key(first), _path_key(first + max(count - 1, 0))
     spawn_key = tuple(_path_key(p) for p in prefix)
-    pool = np.random.SeedSequence(int(seed), spawn_key=spawn_key).pool
+    sequence = np.random.SeedSequence(int(seed), spawn_key=spawn_key)
     last = np.arange(first, first + count, dtype=np.uint64)
     extra = max(0, (int(seed).bit_length() + 31) // 32 - 4) + len(spawn_key)
     const = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 2**32) & _MASK
     const_b, words = _INIT_B, []
-    for word in pool.tolist():
+    for word in sequence.pool.tolist():
         value = last ^ const              # hashmix of the last word ...
         const = const * _MULT_A & _MASK
         value = value * const & _MASK
@@ -85,7 +86,7 @@ def streams(seed: int, prefix: tuple, first: int, count: int):
         const_b = const_b * _MULT_B & _MASK
         value = value * const_b & _MASK
         words.append(value ^ value >> 16)
-    bit_generator = np.random.Philox(key=0)
+    bit_generator = np.random.Philox(sequence)
     generator, state = np.random.Generator(bit_generator), bit_generator.state
     # As lists of ints the state is set in half the time of numpy arrays.
     state["state"]["counter"] = state["buffer"] = [0] * 4

@@ -12,6 +12,9 @@ from skysum.transport import trajectory
 #: at most 1e-6.
 CHI2_CRIT = 40.52
 
+#: A zone capacity that no count reaches: the clamp never binds.
+UNBOUNDED = np.iinfo(np.int64).max
+
 
 def sum_pmf(w, model, n_pulses):
     """Exact law of the total over n_pulses pulses: the n-fold
@@ -59,16 +62,14 @@ def trajectory_windows(zones, pulse, cal):
 def draw_windows(config, track, windows, model, rng, size):
     """(size, L) counts of one track, one scalar ``sample_pulse_sums`` call
     per window of non-zero pulses and weight in ``np.nonzero`` (s, j)
-    order, clamped at each zone's capacity when the config enforces it."""
+    order, clamped at each zone's capacity."""
     weights = config.weights[track]
     counts = np.zeros((size, config.l_columns), dtype=np.int64)
     for s, j in zip(*np.nonzero(windows)):
         if weights[s]:
             counts[:, j] += sample_pulse_sums(weights[s], model, rng,
                                               windows[s, j], size)
-    if config.enforce_capacity:
-        counts = np.minimum(counts, [z.capacity for z in config.zones[track]])
-    return counts
+    return np.minimum(counts, [z.capacity for z in config.zones[track]])
 
 
 def track_counts(config, cal, track, pulse, model, seed):

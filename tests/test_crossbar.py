@@ -36,6 +36,7 @@ from skysum.transport import (
 )
 
 from laws import (
+    UNBOUNDED,
     assert_follows,
     sum_pmf,
     track_counts,
@@ -67,10 +68,16 @@ def replay_track(config, cal, track, pulse, births):
         pop = advance(pop, single, cal)
         for j, zone in enumerate(zones):
             pop = pop.spawn(int(births[k, j]), zone.bounds[0], cal.notch_y)
-    if config.enforce_capacity:
-        for zone in zones:
-            pop = apply_capacity(pop, zone)
+    for zone in zones:
+        pop = apply_capacity(pop, zone)
     return np.array([count_in_zone(pop, zone) for zone in zones])
+
+
+def unbounded(config):
+    """``config`` with every zone's capacity out of reach."""
+    return dataclasses.replace(config, zones=[
+        [dataclasses.replace(z, capacity=UNBOUNDED) for z in row]
+        for row in config.zones])
 
 
 def steady_births(config, track, pulse):
@@ -82,7 +89,7 @@ def steady_births(config, track, pulse):
 def reference_windows(config, cal, track, pulse):
     """(L, L) windows of one track from the particle reference: row s
     counts, per zone, the pulses whose skyrmion born at site s ends there."""
-    free = dataclasses.replace(config, enforce_capacity=False)
+    free = unbounded(config)
     one_site = np.eye(config.l_columns, dtype=int)
     return np.array([
         replay_track(free, cal, track, pulse,
@@ -307,7 +314,7 @@ class TestCohortPlacement:
                 for s, k in enumerate(windows[:, j]):
                     pmf = np.convolve(pmf, sum_pmf(cfg.weights[i, s],
                                                    model, k))
-                if cfg.enforce_capacity and pmf.size > zone.capacity + 1:
+                if pmf.size > zone.capacity + 1:
                     pmf[zone.capacity] = pmf[zone.capacity:].sum()
                     pmf = pmf[:zone.capacity + 1]
                 assert_follows(counts[:, i, j], pmf)
@@ -411,7 +418,7 @@ class TestStreamIdentity:
                                             False]
         assert span.max() < MC_BLOCK
         cfg = build_crossbar(cal4, weights, zone_start_x=1.0, zone_pitch=6.5,
-                             enforce_capacity=False)
+                             capacity=UNBOUNDED)
         iv = InputVector((PulseTrain(n, J4, T4),))
         model = StochasticModel(0.4)
         np.testing.assert_array_equal(
@@ -425,7 +432,7 @@ class TestStreamIdentity:
         # windows hold more than MC_BLOCK pulses and take the multinomial,
         # while track 1's take the per-pulse kernel.
         cfg = build_crossbar(cal4, [[1.0, 0.4], [2.3, 0.0]],
-                             enforce_capacity=False)
+                             capacity=UNBOUNDED)
         iv = InputVector((PulseTrain(MC_BLOCK + 100, J4, 0.05),
                           PulseTrain(30, J4, T4)))
         assert _windows(cfg.zones[0], iv.pulses_per_track[0],
@@ -437,14 +444,14 @@ class TestStreamIdentity:
                 res.per_track, window_weighted_sum(cfg, iv, model, cal4, seed))
 
 
-    @pytest.mark.parametrize("enforce", [True, False],
+    @pytest.mark.parametrize("capacity", [40, UNBOUNDED],
                              ids=["capacity", "no-capacity"])
-    def test_long_track_equals_window_loop(self, cal4, enforce):
+    def test_long_track_equals_window_loop(self, cal4, capacity):
         # A track of more than MC_BLOCK pulses whose skyrmions move on and
         # out: its windows are short and take the per-pulse kernel, drawn
         # with the other track's from one block of uniforms.
-        cfg = build_crossbar(cal4, [[1.3, 0.4], [2.3, 0.0]], capacity=40,
-                             enforce_capacity=enforce)
+        cfg = build_crossbar(cal4, [[1.3, 0.4], [2.3, 0.0]],
+                             capacity=capacity)
         iv = InputVector((PulseTrain(MC_BLOCK + 808, J4, T4),
                           PulseTrain(30, J4, T4)))
         windows = _windows(cfg.zones[0], iv.pulses_per_track[0], cal4)
@@ -480,7 +487,7 @@ class TestStreamIdentity:
         # time, the same counts as the window loop.
         cal = dataclasses.replace(cal4, track_length=170.0)
         weights = np.random.default_rng(5).uniform(0.0, 2.5, (16, 8))
-        cfg = build_crossbar(cal, weights, enforce_capacity=False)
+        cfg = build_crossbar(cal, weights, capacity=UNBOUNDED)
         iv = InputVector((PulseTrain(8000, J4, 0.05),) * 16)
         assert 16 * 8 * 8000 > 8 * PULSE_BLOCK
         model = StochasticModel(0.4)
@@ -542,8 +549,7 @@ class TestWindowCache:
         # Integer weights at p_bar = 0: each crossing counts exactly
         # sum_s w_s K[s, j] with its own track's windows.
         cal, cfg, pulse = _lossy(cal4)
-        cfg = dataclasses.replace(cfg, weights=np.ones((3, 16)),
-                                  enforce_capacity=False)
+        cfg = dataclasses.replace(unbounded(cfg), weights=np.ones((3, 16)))
         trains = (pulse, dataclasses.replace(pulse, count=12),
                   dataclasses.replace(pulse, current_density=150.0))
         res = run_weighted_sum(cfg, InputVector(trains), StochasticModel(0.0),
@@ -558,7 +564,7 @@ class TestMonteCarlo:
     def test_mean_converges_to_expected(self, cal4):
         # Valid in the w >= 1 operating regime, where the clamp-at-zero
         # bias of the per-pulse sampler vanishes.
-        cfg = two_track(cal4, w=(1.0, 2.5), enforce_capacity=False)
+        cfg = two_track(cal4, w=(1.0, 2.5), capacity=UNBOUNDED)
         model = StochasticModel(0.4)
         counts = monte_carlo_column_counts(cfg, inputs(20, 20), model,
                                            trials=10_000, seed=3)
@@ -596,9 +602,9 @@ class TestMonteCarlo:
                                          1000, seed=0, w=w)
 
     @pytest.mark.parametrize("trials", [1, 50, 200, 1000, 9000])
-    @pytest.mark.parametrize("enforce", [True, False],
+    @pytest.mark.parametrize("capacity", [60, UNBOUNDED],
                              ids=["capacity", "no-capacity"])
-    def test_column_counts_equal_track_draws(self, cal4, trials, enforce):
+    def test_column_counts_equal_track_draws(self, cal4, trials, capacity):
         # One call draws every track's crossings from its own stream, what
         # one scalar call per crossing gives on the (seed, "track", i)
         # streams.  At 20 pulses and 50 trials, weights below 1 span 40
@@ -612,7 +618,7 @@ class TestMonteCarlo:
                             [0.4, 1.2, 0.0, 2.6, 0.9, 1.0],
                             [0.2, 0.0, 3.4, 1.1, 0.6, 2.0]])
         cfg = build_crossbar(cal4, weights, zone_start_x=1.0, zone_pitch=6.5,
-                             capacity=60, enforce_capacity=enforce)
+                             capacity=capacity)
         pulses = (20, 0, 35, 3000 if trials == 9000 else 40, 7)
         iv = InputVector(tuple(PulseTrain(n, J4, T4) for n in pulses))
         model = StochasticModel(0.4)
@@ -620,10 +626,9 @@ class TestMonteCarlo:
         assert got.shape == (trials, 6) and got.flags.c_contiguous
         np.testing.assert_array_equal(
             got, window_column_counts(cfg, iv, model, trials, seed=5))
-        if enforce:
-            free = monte_carlo_column_counts(
-                dataclasses.replace(cfg, enforce_capacity=False), iv, model,
-                trials, seed=5)
+        if capacity != UNBOUNDED:
+            free = monte_carlo_column_counts(unbounded(cfg), iv, model,
+                                             trials, seed=5)
             assert (got <= free).all() and (got < free).any()
 
     def test_input_length_must_match_tracks(self, cal4):

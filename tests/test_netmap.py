@@ -20,10 +20,13 @@ from skysum import (
     monte_carlo_column_counts,
     mtj_activation,
     paper2024,
+    pulse_distribution,
     quantize,
     stream,
     weight_from_field,
 )
+
+from laws import UNBOUNDED
 
 
 class TestFieldForWeight:
@@ -164,6 +167,28 @@ class TestInfer:
         out = infer(layer, [2, 1], mode="stochastic", cal=big,
                     stochastic=StochasticModel(0.0), trials=3)
         assert out.shape == (3, 2)
+        # At least 3 sk/pulse, where the zone's own capacity would be 1.
+        assert np.all(out / layer.scale > [5.5, 2.5])
+
+    def test_no_capacity_draws_as_the_largest_reachable_one(self, cal):
+        # capacity=None is a capacity that no count reaches, so it gives
+        # the bytes of the largest total any crossing can reach: its
+        # pulses times its weight's top outcome.  A capacity below that
+        # binds on this layer.
+        layer = quantize(stream(3, "layer").uniform(-1, 1, (8, 4)), cal=cal)
+        x = stream(3, "input").integers(0, 41, 8)
+        model = StochasticModel(0.4)
+        values, probs = pulse_distribution(
+            np.hstack([layer.w_pos, layer.w_neg]), model)
+        top = np.where(probs > 0, values, 0).max(axis=-1)
+        reach = int((x[:, None] * top).max())
+        for trials in (1, 200):
+            run = [infer(layer, x, mode="stochastic", cal=cal,
+                         stochastic=model, seed=4, trials=trials,
+                         capacity=capacity)
+                   for capacity in (None, reach, reach // 2)]
+            assert run[0].tobytes() == run[1].tobytes()
+            assert run[0].tobytes() != run[2].tobytes()
 
     def test_mac_error_bounded_by_sigma_law(self):
         # Relative spread of the stochastic MAC stays within the analytic
@@ -203,7 +228,7 @@ class TestInfer:
         else:
             # The counts infer reads: the pairs as a 6-column crossbar.
             cfg = build_crossbar(cal, np.hstack([layer.w_pos, layer.w_neg]),
-                                 zone_pitch=0.0, enforce_capacity=False)
+                                 zone_pitch=0.0, capacity=UNBOUNDED)
             iv = InputVector(tuple(PulseTrain(int(n), cal.current_ref,
                                               cal.duration_ref) for n in x))
             counts = monte_carlo_column_counts(cfg, iv, model, trials, 1)

@@ -36,7 +36,7 @@ from skysum.nucleation import (
     _sum_cdf,
 )
 
-from laws import assert_follows, sum_pmf
+from laws import UNBOUNDED, assert_follows, sum_pmf
 
 LAW_DRAWS = 20_000
 
@@ -665,7 +665,7 @@ class TestSigma:
         # take gigabytes; sum sampling keeps the peak in megabytes.
         cal = paper2024()
         model = StochasticModel(0.4)
-        config = build_crossbar(cal, [[1.0]], enforce_capacity=False)
+        config = build_crossbar(cal, [[1.0]], capacity=UNBOUNDED)
         inputs = InputVector(
             (PulseTrain(1000, cal.current_ref, cal.duration_ref),))
         tracemalloc.start()

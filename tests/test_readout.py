@@ -39,6 +39,8 @@ from skysum.transport import (
     field_reset,
 )
 
+from laws import UNBOUNDED
+
 
 def unit_weight_device(cal, zone, p_bar=0.0):
     # w = 1 at J = 150 GA/m^2 (slow transport keeps everything in the box).
@@ -156,9 +158,7 @@ def replay_phases(plan, tracks, cal, meas_rng, noise):
                 single = PulseTrain(1, track.pulse.current_density,
                                     track.pulse.duration)
                 pop = advance(pops[t], single, cal).spawn(born, *track.notch)
-                if track.enforce_capacity:
-                    pop = apply_capacity(pop, track.zone)
-                pops[t] = pop
+                pops[t] = pop = apply_capacity(pop, track.zone)
                 in_zone[t] = count_in_zone(pop, track.zone)
             counts.append(sum(in_zone))
             volts.append(hall_voltage(counts[-1], cal, noise=noise,
@@ -166,27 +166,27 @@ def replay_phases(plan, tracks, cal, meas_rng, noise):
     return counts, volts
 
 
-# Each case: per-track (J, weight, p_bar, zone centre x, capacity,
-# enforce_capacity) and a plan.  Notches sit at x = 5 um, so a zone centred
-# beyond 8 um is entered only some pulses after birth; at 171 GA/m^2 a
-# skyrmion leaves a 6 um box after 9 pulses, at 190 GA/m^2 it reaches the
-# far track edge after 16.
+# Each case: per-track (J, weight, p_bar, zone centre x, capacity) and a
+# plan; UNBOUNDED is a capacity that never binds.  Notches sit at x = 5 um,
+# so a zone centred beyond 8 um is entered only some pulses after birth; at
+# 171 GA/m^2 a skyrmion leaves a 6 um box after 9 pulses, at 190 GA/m^2 it
+# reaches the far track edge after 16.
 REPLAY_CASES = {
     "two-tracks": (
-        [(171.0, 2.3, 0.4, 8.0, 81, True), (150.0, 0.7, 0.4, 18.0, 81, True)],
+        [(171.0, 2.3, 0.4, 8.0, 81), (150.0, 0.7, 0.4, 18.0, 81)],
         [("baseline", 3, None), ("pulsing", 25, 0), ("hold", 4, None),
          ("pulsing", 30, 1), ("pulsing", 10, 0), ("hold", 2, None),
          ("reset", 1, None), ("post", 3, None)]),
     "mid-reset": (
-        [(160.0, 1.5, 0.6, 8.0, 6, True)],
+        [(160.0, 1.5, 0.6, 8.0, 6)],
         [("baseline", 2, None), ("pulsing", 20, 0), ("reset", 1, None),
          ("pulsing", 30, 0), ("post", 2, None)]),
     "capacity-bound": (
-        [(171.0, 3.2, 0.8, 14.0, 5, True), (150.0, 2.9, 0.2, 8.0, 7, True)],
+        [(171.0, 3.2, 0.8, 14.0, 5), (150.0, 2.9, 0.2, 8.0, 7)],
         [("pulsing", 40, 0), ("pulsing", 40, 1), ("hold", 2, None),
          ("pulsing", 15, 0)]),
     "lossy": (
-        [(190.0, 2.6, 0.4, 20.0, 4, True), (190.0, 2.6, 0.4, 20.0, 4, False)],
+        [(190.0, 2.6, 0.4, 20.0, 4), (190.0, 2.6, 0.4, 20.0, UNBOUNDED)],
         [("pulsing", 30, 0), ("pulsing", 30, 1), ("post", 2, None)]),
 }
 
@@ -195,9 +195,8 @@ def replay_tracks(seed, specs):
     return [SequencedTrack(
         zone=DetectionZone(center_x=cx, center_y=3.0, capacity=capacity),
         notch=(5.0, 1.02), weight=w, pulse=PulseTrain(1, j, 50.0),
-        stochastic=StochasticModel(p_bar), rng=stream(seed, "replay", t),
-        enforce_capacity=enforce)
-        for t, (j, w, p_bar, cx, capacity, enforce) in enumerate(specs)]
+        stochastic=StochasticModel(p_bar), rng=stream(seed, "replay", t))
+        for t, (j, w, p_bar, cx, capacity) in enumerate(specs)]
 
 
 class TestCohortSequencer:
@@ -238,7 +237,7 @@ class TestCohortSequencer:
         plan = [("pulsing", 1, 0), ("post", 1, None)]
         table = _sum_cdf(w, p_bar, 1)
         for seed in range(60):
-            tracks = replay_tracks(seed, [(171.0, w, p_bar, 8.0, 81, True)])
+            tracks = replay_tracks(seed, [(171.0, w, p_bar, 8.0, 81)])
             trace = run_phases(plan, tracks, cal)
             u = stream(seed, "replay", 0).random((1, 1))
             born = _lookup([table], u)[0, 0]
@@ -249,8 +248,8 @@ class TestCohortSequencer:
         # fractional weight is an error only on a track the plan pulses.
         cal = paper2024()
         tracks = [replace(t, rng=None) for t in replay_tracks(
-            0, [(171.0, 1.0, 0.0, 8.0, 81, True),
-                (150.0, 0.7, 0.0, 18.0, 81, True)])]
+            0, [(171.0, 1.0, 0.0, 8.0, 81),
+                (150.0, 0.7, 0.0, 18.0, 81)])]
         plan = [("pulsing", 5, 0), ("post", 2, None)]
         trace = run_phases(plan, tracks, cal)
         assert trace.n_detec.tolist() == [1, 2, 3, 4, 5, 5, 5]
