@@ -1,12 +1,15 @@
 """Scaling to M inputs and L outputs: crossbar sums and MTJ activation.
 
 More tracks simply add their skyrmion counts per column, so the summed
-fluctuation follows sigma(N)/sqrt(M).  Replacing the linear Hall readout
-with a magnetic tunnel junction applies a saturating nonlinearity right
-at the column output.
+fluctuation follows sigma(N)/sqrt(M).  A column's output is a function of
+its count: the crossbar reads the linear Hall voltage, and reading the same
+counts through a magnetic tunnel junction (``mtj_activation``) applies a
+saturating nonlinearity at the column output.
 """
 
 import math
+
+import numpy as np
 
 from skysum import (
     InputVector,
@@ -52,3 +55,8 @@ for n in (0, 5, 10, 15, 20, 26, 40):
 print(f"  floor I R_P = {mtj.read_current * mtj.r_parallel * 1e-3:.0f} mV, "
       f"ceiling I R_P (1+TMR) = "
       f"{mtj.read_current * mtj.r_parallel * (1 + mtj.tmr) * 1e-3:.0f} mV")
+
+print("\n== the 4 x 2 crossbar's column counts read through the MTJ ==")
+counts = monte_carlo_column_counts(config, iv, model, trials=5, seed=42)
+for row, v in zip(counts, mtj_activation(counts, mtj, cal)):
+    print(f"  counts {row} -> {np.round(v, 2)} mV")

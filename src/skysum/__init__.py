@@ -16,7 +16,6 @@ from .analysis import (
     sum_energy,
     sum_precision,
     synaptic_state_count,
-    synaptic_state_count_from_precision,
 )
 from .crossbar import (
     CrossbarConfig,

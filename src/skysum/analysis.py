@@ -98,6 +98,8 @@ def synaptic_state_count(span_mt: float, step_mt: float = 0.2) -> int:
 
     Counts the field steps inclusively: floor(span / step) + 1.  The
     default 0.2 mT increment over the 2.8 mT usable span gives 15 states.
+    The same count holds on the weight axis: a 3.42 sk/pulse range at a
+    0.1 sk/pulse precision gives 35 levels.
     """
     if step_mt <= 0:
         raise ValueError("step_mt must be positive")
@@ -105,13 +107,3 @@ def synaptic_state_count(span_mt: float, step_mt: float = 0.2) -> int:
         raise ValueError("span_mt must be >= 0")
     return int(math.floor(span_mt / step_mt + _STATE_EPS)) + 1
 
-
-def synaptic_state_count_from_precision(weight_range: float,
-                                        weight_precision: float) -> int:
-    """Diagnostic level count from the weight-axis resolution:
-    floor(range / precision) + 1."""
-    if weight_precision <= 0:
-        raise ValueError("weight_precision must be positive")
-    if weight_range < 0:
-        raise ValueError("weight_range must be >= 0")
-    return int(math.floor(weight_range / weight_precision + _STATE_EPS)) + 1

@@ -3,8 +3,9 @@ voltage per column.
 
 Each track i crosses column j at a nucleation site with weight ``w_ij``
 (skyrmions per pulse) feeding a detection zone at that crossing.  The
-column output is the readout of the summed in-zone count,
-``f(sum_i n_ij)``: linear Hall summation or a saturating MTJ activation.
+column count is the summed in-zone count ``sum_i n_ij`` and the column
+output is its Hall voltage.  Any other transfer function of the count,
+such as ``readout.mtj_activation``, is applied to ``n_detec``.
 The parallel read circuit uses large series resistors so every track sees
 the same dc read current.
 """
@@ -30,10 +31,8 @@ from .nucleation import (
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     MeasurementTrace,
-    MtjConfig,
     SequencedTrack,
     hall_voltage,
-    mtj_activation,
     run_phases,
 )
 from .rng import stream, streams
@@ -44,9 +43,6 @@ from .transport import (
     trajectory,
     zone_within_track,
 )
-
-LINEAR_AHE = "linear_ahe"
-MTJ = "mtj"
 
 #: Minimum series-to-track resistance ratio for the uniform-current budget.
 MIN_SERIES_RATIO = 50.0
@@ -60,15 +56,12 @@ class CrossbarConfig:
     zones              nested (M, L) grid of DetectionZone, one per crossing
     track_resistances  Ohm per track
     series_resistance  Ohm, calibrated resistor at each end of each track
-    readout_mode       'linear_ahe' or 'mtj'
     """
 
     weights: np.ndarray
     zones: tuple
     track_resistances: tuple
     series_resistance: float = 12000.0
-    readout_mode: str = LINEAR_AHE
-    mtj: MtjConfig | None = None
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.weights, dtype=float))
@@ -90,10 +83,6 @@ class CrossbarConfig:
                 f"series_resistance must be >= {MIN_SERIES_RATIO} x the "
                 "largest track resistance")
         object.__setattr__(self, "track_resistances", res)
-        if self.readout_mode not in (LINEAR_AHE, MTJ):
-            raise ValueError("readout_mode must be 'linear_ahe' or 'mtj'")
-        if self.readout_mode == MTJ and self.mtj is None:
-            raise ValueError("mtj readout requires an MtjConfig")
 
     @property
     def m_tracks(self) -> int:
@@ -125,27 +114,26 @@ class InputVector:
 
 def build_crossbar(cal: DeviceCalibration, weights, *,
                    track_resistances=None, series_resistance: float = 12000.0,
-                   readout_mode: str = LINEAR_AHE, mtj: MtjConfig | None = None,
                    zone_start_x: float = 5.0, zone_pitch: float = 10.0,
-                   zone_side: float = 6.0,
                    capacity: int | None = None) -> CrossbarConfig:
     """Lay out a crossbar with evenly pitched detection zones.
 
     Column j's zone starts at ``zone_start_x + j * zone_pitch`` (its left
-    edge doubles as the nucleation site) and is centred on the track.
+    edge doubles as the nucleation site), is centred on the track and has
+    ``DetectionZone``'s default side.
     Every track has the same row, so one row of frozen zones is laid out
     and shared.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     m, l = w.shape
+    side = DetectionZone.side
     if capacity is None:
-        capacity = default_capacity(zone_side, cal.skyrmion_diameter)
+        capacity = default_capacity(side, cal.skyrmion_diameter)
     row = []
     for j in range(l):
         zone = DetectionZone(
-            center_x=zone_start_x + j * zone_pitch + zone_side / 2.0,
+            center_x=zone_start_x + j * zone_pitch + side / 2.0,
             center_y=cal.track_width / 2.0,
-            side=zone_side,
             capacity=capacity,
         )
         if not zone_within_track(zone, cal):
@@ -158,8 +146,6 @@ def build_crossbar(cal: DeviceCalibration, weights, *,
         zones=(tuple(row),) * m,
         track_resistances=track_resistances,
         series_resistance=series_resistance,
-        readout_mode=readout_mode,
-        mtj=mtj,
     )
 
 
@@ -256,13 +242,10 @@ def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
 
 @dataclass(frozen=True)
 class WeightedSumResult:
-    """Outcome of one stochastic weighted-sum evaluation.
-
-    output is in nV for linear readout, mV for MTJ readout.
-    """
+    """Outcome of one stochastic weighted-sum evaluation."""
 
     n_detec: np.ndarray       # (L,) summed in-zone counts
-    output: np.ndarray        # (L,) column readout
+    output: np.ndarray        # (L,) column Hall voltage (nV)
     per_track: np.ndarray     # (M, L) in-zone counts per crossing
     expected: np.ndarray      # (L,) deterministic expectation
     seed: int
@@ -275,22 +258,19 @@ def run_weighted_sum(config: CrossbarConfig, input_vector: InputVector,
     """Evaluate the weighted sum once: nucleate, transport, count, read out.
 
     Each track draws from its own derived stream, so a track's counts do
-    not depend on which other tracks are present (linear-mode outputs are
-    therefore exactly additive across tracks when noise is off).  Every
-    window of every track is one entry of a ``sample_stream_sums`` call,
-    whose totals are added up by crossing and clamped at capacity (see
+    not depend on which other tracks are present (outputs are therefore
+    exactly additive across tracks when noise is off).  Every window of
+    every track is one entry of a ``sample_stream_sums`` call, whose totals
+    are added up by crossing and clamped at capacity (see
     ``_kinematic_counts``).  The columns are read at once, from their
     summed counts.
     """
     expected = expected_sums(config, input_vector)
     per_track = _kinematic_counts(config, input_vector, stochastic, cal, seed)
     n_detec = per_track.sum(axis=0)
-    if config.readout_mode == LINEAR_AHE:
-        output = hall_voltage(n_detec, cal, noise=noise,
-                              rng=stream(seed, "readout") if noise else None,
-                              sigma_meas=sigma_meas)
-    else:
-        output = mtj_activation(n_detec, config.mtj, cal)
+    output = hall_voltage(n_detec, cal, noise=noise,
+                          rng=stream(seed, "readout") if noise else None,
+                          sigma_meas=sigma_meas)
     return WeightedSumResult(n_detec=n_detec, output=output,
                              per_track=per_track, expected=expected,
                              seed=seed)

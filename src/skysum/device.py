@@ -17,6 +17,7 @@ factors are normalised to 1 at the reference operating point
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -182,7 +183,7 @@ def calibration_preset(name: str) -> DeviceCalibration:
 class PulseTrain:
     """A train of identical electrical pulses applied to one track.
 
-    count            number of pulses (>= 0)
+    count            number of pulses, an integer >= 0
     current_density  GA/m^2
     duration         ns
     polarity         'forward' (nucleate and advance) or 'reverse' (erase)
@@ -194,6 +195,8 @@ class PulseTrain:
     polarity: str = FORWARD
 
     def __post_init__(self):
+        if not isinstance(self.count, numbers.Integral):
+            raise ValueError("count must be an integer")
         if self.count < 0:
             raise ValueError("count must be >= 0")
         if self.duration <= 0:

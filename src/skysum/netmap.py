@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import (
-    LINEAR_AHE,
-    MTJ,
     InputVector,
     build_crossbar,
     monte_carlo_column_counts,
@@ -28,11 +26,11 @@ from .device import (
     paper2024,
     weight_from_field,
 )
-from .errors import OutOfRange
 from .nucleation import StochasticModel
-from .readout import MtjConfig, mtj_activation
+from .readout import hall_voltage
 
 IDENTITY = "identity"
+LINEAR_AHE = "linear_ahe"
 
 
 @dataclass(frozen=True)
@@ -78,17 +76,16 @@ class QuantizedLayer:
 
 
 def quantize(weights, states: int = 15,
-             cal: DeviceCalibration | None = None,
-             scale: float | None = None) -> QuantizedLayer:
+             cal: DeviceCalibration | None = None) -> QuantizedLayer:
     """Quantise a real matrix onto ``states`` uniform non-negative levels
     per differential column.
 
     Each part (positive, negative) lands on the grid
     {k * w_max / (states - 1)}, so the absolute quantisation error is at
-    most half a level spacing.  ``scale`` fixes the network-to-device
-    conversion; by default the largest magnitude maps to the weight ceiling
-    of the calibration.  A matrix whose level spacing would be subnormal
-    quantises to zero.
+    most half a level spacing.  The largest magnitude maps to the weight
+    ceiling of the calibration; rounding can leave a device weight an ulp
+    above it, so device weights are clamped at the ceiling.  A matrix whose
+    level spacing would be subnormal quantises to zero.
     """
     if states < 2:
         raise ValueError("states must be >= 2")
@@ -100,26 +97,18 @@ def quantize(weights, states: int = 15,
 
     spacing = w_max / (states - 1)
     if min(spacing, w_max / ceiling) < np.finfo(float).tiny:
-        # All zero, or so small that the level spacing or the default scale
-        # would leave the normal floats: flush to zero.
+        # All zero, or so small that the level spacing or the scale would
+        # leave the normal floats: flush to zero.
         q_pos = np.zeros_like(w)
         q_neg = np.zeros_like(w)
-        scale = 1.0 if scale is None else scale
+        scale = 1.0
     else:
         q_pos = np.round(np.maximum(w, 0.0) / spacing) * spacing
         q_neg = np.round(np.maximum(-w, 0.0) / spacing) * spacing
-        if scale is None:
-            scale = w_max / ceiling
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+        scale = w_max / ceiling
 
-    w_pos_dev = q_pos / scale
-    w_neg_dev = q_neg / scale
-    if np.max(w_pos_dev, initial=0.0) > ceiling + 1e-12 \
-            or np.max(w_neg_dev, initial=0.0) > ceiling + 1e-12:
-        raise OutOfRange("scale maps some weights above the device ceiling")
-    w_pos_dev = np.minimum(w_pos_dev, ceiling)
-    w_neg_dev = np.minimum(w_neg_dev, ceiling)
+    w_pos_dev = np.minimum(q_pos / scale, ceiling)
+    w_neg_dev = np.minimum(q_neg / scale, ceiling)
 
     return QuantizedLayer(
         weight_matrix=w,
@@ -134,26 +123,21 @@ def quantize(weights, states: int = 15,
 
 
 def _readout(counts: np.ndarray, readout: str, scale: float,
-             cal: DeviceCalibration, mtj: MtjConfig | None) -> np.ndarray:
+             cal: DeviceCalibration) -> np.ndarray:
     """Apply the column transfer function f to (possibly fractional)
-    count sums."""
+    count sums: network units, or the noise-free Hall voltage (nV)."""
     if readout == IDENTITY:
         return counts * scale
     if readout == LINEAR_AHE:
-        return counts * cal.per_skyrmion_voltage_mean
-    if readout == MTJ:
-        if mtj is None:
-            raise ValueError("mtj readout requires an MtjConfig")
-        return mtj_activation(counts, mtj, cal)
+        return hall_voltage(counts, cal)
     raise ValueError(f"unknown readout {readout!r}")
 
 
 def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
           readout: str = IDENTITY, cal: DeviceCalibration | None = None,
           stochastic: StochasticModel | None = None, seed: int = 0,
-          trials: int = 1, mtj: MtjConfig | None = None,
-          capacity: int | None = None) -> np.ndarray:
-    """Run an input through the mapped layer.
+          trials: int = 1, capacity: int | None = None) -> np.ndarray:
+    """Run an input of whole pulse counts through the mapped layer.
 
     Expected mode evaluates f(sum w+ x) - f(sum w- x) per differential
     pair; with the identity readout this is exactly the quantised
@@ -164,20 +148,23 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
     reaches), one random stream per track.  It returns one row per trial
     (shape (trials, L); a single trial returns shape (L,)).
     """
-    x = np.asarray(input_vector, dtype=np.int64)
+    x = np.asarray(input_vector)
     m, l = layer.shape
     if x.shape != (m,):
         raise ValueError(f"input length {x.size} does not match {m} tracks")
+    if np.any(x % 1 != 0):
+        raise ValueError("pulse counts must be integers")
     if np.any(x < 0):
         raise ValueError("pulse counts must be >= 0")
+    x = x.astype(np.int64)
     if cal is None:
         cal = paper2024()
 
     if mode == "expected":
         pos = x @ layer.w_pos
         neg = x @ layer.w_neg
-        return (_readout(pos, readout, layer.scale, cal, mtj)
-                - _readout(neg, readout, layer.scale, cal, mtj))
+        return (_readout(pos, readout, layer.scale, cal)
+                - _readout(neg, readout, layer.scale, cal))
     if mode != "stochastic":
         raise ValueError("mode must be 'expected' or 'stochastic'")
     if stochastic is None:
@@ -194,6 +181,6 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
     counts = monte_carlo_column_counts(config, pulses, stochastic,
                                        trials, seed)
     pos, neg = counts[:, :l].astype(float), counts[:, l:].astype(float)
-    out = (_readout(pos, readout, layer.scale, cal, mtj)
-           - _readout(neg, readout, layer.scale, cal, mtj))
+    out = (_readout(pos, readout, layer.scale, cal)
+           - _readout(neg, readout, layer.scale, cal))
     return out[0] if trials == 1 else out

@@ -436,15 +436,13 @@ def monte_carlo_sigma(model: StochasticModel, n_pulse: int, trials: int,
     return float(means.std(ddof=1))
 
 
-def estimate_pbar_from_trace(events: Iterable, w_nominal: float = 1.0) -> float:
+def estimate_pbar_from_trace(events: Iterable) -> float:
     """Fraction of pulses whose count (``events``: per-pulse skyrmion
     counts) deviated from the nominal value.
 
     Unbiased for p_bar in the unit-weight regime, which is the only regime
-    the estimator is defined for.
+    the estimator is defined for: the nominal count is 1.
     """
-    if w_nominal != 1.0:
-        raise ValueError("estimator is defined for w_nominal = 1 only")
     counts = np.asarray([int(e) for e in events], dtype=np.int64)
     if counts.size < 10:
         raise InsufficientData(

@@ -199,8 +199,7 @@ def trajectory(sites, pulse: PulseTrain, cal: DeviceCalibration,
 
 def reverse_erase(pop: SkyrmionPopulation, pulses: PulseTrain,
                   cal: DeviceCalibration, residual_prob: float,
-                  rng: np.random.Generator,
-                  notch: tuple[float, float] | None = None) -> SkyrmionPopulation:
+                  rng: np.random.Generator) -> SkyrmionPopulation:
     """Apply reverse pulses that retrace skyrmions back towards the notch.
 
     A skyrmion arriving at the notch (x falling to or below the notch
@@ -214,7 +213,7 @@ def reverse_erase(pop: SkyrmionPopulation, pulses: PulseTrain,
         raise ValueError("residual_prob must lie in [0, 1]")
     forward_like = PulseTrain(1, pulses.current_density, pulses.duration)
     dx, dy = step_displacement(cal, forward_like)
-    nx, ny = notch if notch is not None else notch_position(cal)
+    nx, ny = notch_position(cal)
 
     x = pop.x.copy()
     y = pop.y.copy()

@@ -9,7 +9,6 @@ from skysum import (
     sum_energy,
     sum_precision,
     synaptic_state_count,
-    synaptic_state_count_from_precision,
 )
 
 
@@ -128,11 +127,12 @@ class TestStateCount:
         assert synaptic_state_count(6.0, 0.2) == 31
 
     def test_precision_variant(self):
-        assert synaptic_state_count_from_precision(3.42, 0.1) == 35
-        assert synaptic_state_count_from_precision(0.0, 0.1) == 1
+        # A weight range at a weight precision counts the same way.
+        assert synaptic_state_count(3.42, 0.1) == 35
+        assert synaptic_state_count(0.0, 0.1) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             synaptic_state_count(2.8, 0.0)
         with pytest.raises(ValueError):
-            synaptic_state_count_from_precision(-1.0, 0.1)
+            synaptic_state_count(-1.0, 0.1)

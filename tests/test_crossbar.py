@@ -7,7 +7,6 @@ import pytest
 from skysum import (
     CrossbarConfig,
     InputVector,
-    MtjConfig,
     ProtocolError,
     PulseTrain,
     StochasticModel,
@@ -19,7 +18,6 @@ from skysum import (
     hall_voltage,
     monte_carlo_column_counts,
     monte_carlo_sum_relative_std,
-    mtj_activation,
     paper2024,
     run_fig4_protocol,
     run_weighted_sum,
@@ -116,10 +114,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             two_track(cal4, series_resistance=1000.0)
 
-    def test_mtj_mode_needs_config(self, cal4):
-        with pytest.raises(ValueError):
-            two_track(cal4, readout_mode="mtj")
-
     def test_zone_outside_track_rejected(self, cal4):
         # Column 1's zone starts at the far end of the track.
         with pytest.raises(ValueError, match="column 1 falls outside"):
@@ -188,24 +182,6 @@ class TestRunWeightedSum:
         res = run_weighted_sum(cfg, inputs(20, 20), StochasticModel(0.4),
                                cal4, seed=5)
         assert res.per_track[1, 0] == 0
-
-    def test_mtj_mode(self, cal4):
-        mtj = MtjConfig(junction_area=5.0)
-        cfg = two_track(cal4, readout_mode="mtj", mtj=mtj)
-        res = run_weighted_sum(cfg, inputs(10, 10), StochasticModel(0.0),
-                               cal4, seed=0)
-        assert res.output[0] > mtj.read_current * mtj.r_parallel * 1e-3
-
-    def test_mtj_columns_read_as_one_call_per_column(self, cal4):
-        cal, cfg, pulse = _lossy(cal4)
-        # Counts of 35 to 72 cover the junction partly or in full.
-        mtj = MtjConfig(junction_area=60 * cal.skyrmion_area_um2)
-        cfg = dataclasses.replace(cfg, readout_mode="mtj", mtj=mtj)
-        res = run_weighted_sum(cfg, InputVector((pulse,) * 3),
-                               StochasticModel(0.4), cal, seed=2)
-        assert res.output.tolist() == [mtj_activation(int(n), mtj, cal)
-                                       for n in res.n_detec]
-        assert len(set(res.output.tolist())) > 2
 
     def test_capacity_limits_counts(self, cal4):
         cfg = two_track(cal4, w=(3.0, 3.0), capacity=25)

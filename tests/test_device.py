@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -180,6 +181,13 @@ class TestPulseTrain:
             PulseTrain(1, 0.0, 50.0)
         with pytest.raises(ValueError):
             PulseTrain(1, 171.0, 50.0, polarity="sideways")
+
+    @pytest.mark.parametrize("count", [2.7, 2.0, np.float64(3.0)])
+    def test_count_must_be_an_integer(self, count):
+        # Both crossbar count paths read their pulse counts from here, so a
+        # count that is not an integer must fail before either runs.
+        with pytest.raises(ValueError, match="integer"):
+            PulseTrain(count, 171.0, 50.0)
 
 
 class TestStepDisplacement:

@@ -704,10 +704,6 @@ class TestPbarEstimator:
         with pytest.raises(InsufficientData):
             estimate_pbar_from_trace([])
 
-    def test_only_unit_weight(self):
-        with pytest.raises(ValueError):
-            estimate_pbar_from_trace([1] * 10, w_nominal=2.0)
-
 
 class TestFitWeight:
     def test_exact_line(self):

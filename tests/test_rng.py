@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,3 +113,19 @@ class TestStreams:
 def _draws(g, k):
     return (g.random(k + 3), g.multinomial([5, 40], [0.2, 0.5, 0.3]),
             g.normal(0.0, [1.0, 2.0]), g.random(2 * k + 1))
+
+
+def test_import_loads_neither_numpy_random_nor_yaml():
+    # Both load on first use.  numpy.random loaded at import raised the
+    # benchmark's peak memory by 1.2-1.5 %; yaml serves only the spec and
+    # run-directory code.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, skysum; "
+            "print(sorted({'numpy.random', 'yaml'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
