@@ -74,9 +74,10 @@ def _cmd_calibrate(args) -> int:
     if not path.exists():
         raise ValidationError("traces", f"no such file: {path}")
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
     needed = {"h_z_mT", "n_pulses", "n_sk"}
-    if not rows or not needed.issubset(rows[0]):
+    if not rows or not needed.issubset(reader.fieldnames):
         raise ValidationError(
             "traces", f"CSV must have columns {sorted(needed)}")
     result = calibrate_weight_law(rows)

@@ -5,12 +5,21 @@ reproduces it, a manifest with the seed and package versions, the bulk
 traces as CSV and the derived statistics as JSON.  All numeric output is
 formatted deterministically, so rerunning a spec with the same seed
 produces byte-identical files.
+
+CSV files are formatted a column at a time, in blocks of rows:
+``write_csv`` picks one formatter per column from the type its values
+share, the one ``_fmt`` picks for each of them, and formats a column of
+mixed types cell by cell.
+A figure emit takes a nucleation sweep's kind from ``summary.json``, so
+it reads one CSV file: its source, whose columns it copies as read.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import os
 import shutil
 import sys
@@ -75,19 +84,54 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _format_column(column) -> list:
+    """``[_fmt(v) for v in column]``, with ``_fmt``'s type chain walked
+    once for the column when all its values share one type."""
+    kinds = set(map(type, column))
+    if len(kinds) != 1:
+        return list(map(_fmt, column))
+    kind = kinds.pop()
+    if issubclass(kind, (bool, np.bool_)):
+        return ["true" if v else "false" for v in column]
+    if issubclass(kind, (int, np.integer)):
+        return list(map(str, map(int, column)))
+    if issubclass(kind, (float, np.floating)):
+        return [format(v, ".12g") for v in map(float, column)]
+    return list(map(str, column))
+
+
+def _format_rows(rows: list):
+    """Every value of ``rows`` formatted by ``_fmt``; rows of equal length
+    a column at a time."""
+    widths = set(map(len, rows))
+    if len(widths) == 1 and widths != {0}:
+        return zip(*map(_format_column, zip(*rows)))
+    return [list(map(_fmt, row)) for row in rows]
+
+
+#: Rows formatted at once, which bounds the formatted cells held in memory.
+_CSV_BLOCK = 256
+
+
 def write_csv(path: Path, header, rows):
+    """Write ``header`` and ``rows``, every value formatted by ``_fmt``."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            writer.writerows(_format_rows(block))
 
 
 def read_csv(path: Path) -> list[dict]:
+    """One {header: cell} dict per row, skipping blank lines as
+    ``csv.DictReader`` does."""
     if not path.exists():
         raise MissingArtifact(f"missing expected output {path}")
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        return [dict(zip(header, row)) for row in reader if row]
 
 
 def _jsonable(obj):
@@ -209,9 +253,11 @@ def run_nucleation_sweep(cal: DeviceCalibration, seed: int, outdir: Path, *,
         fits = fit_weight(np.stack(np.broadcast_arrays(
             np.arange(pulses + 1.0), cumulative), axis=-1))
         slope_rows += [(sweep, value, r, *fit) for r, fit in
-                       enumerate(zip(fits.slope, fits.intercept))]
-        trace_rows += [(value, k, int(c), int(n)) for k, (c, n) in
-                       enumerate(zip(counts[0], cumulative[0]))]
+                       enumerate(zip(fits.slope.tolist(),
+                                     fits.intercept.tolist()))]
+        trace_rows += [(value, k, c, n) for k, (c, n) in
+                       enumerate(zip(counts[0].tolist(),
+                                     cumulative[0].tolist()))]
         per_value.append({
             "value": value, "weight": w,
             "slope_mean": float(fits.slope.mean()),
@@ -611,13 +657,20 @@ def emit_figure_data(run_dir, figure_id: str) -> Path:
         raise MissingArtifact(
             f"figure {figure_id} needs a {fig.protocol} run, found {protocol}")
     if fig.sweep is not None:
-        rows = read_csv(run_dir / "slopes.csv")
-        if not rows or rows[0]["sweep"] != fig.sweep:
+        summary = run_dir / "summary.json"
+        if not summary.exists():
+            raise MissingArtifact(f"{run_dir} has no summary.json")
+        if json.loads(summary.read_text()).get("sweep") != fig.sweep:
             raise MissingArtifact(
                 f"figure {figure_id} needs a {fig.sweep} sweep")
+    source = run_dir / fig.source
+    try:
+        rows = [[r[c] for c in fig.columns.values()]
+                for r in read_csv(source)]
+    except KeyError as exc:
+        raise MissingArtifact(f"{source} has no column {exc.args[0]!r} in "
+                              f"some row, and figure {figure_id} needs it")
     out = run_dir / f"figure_{figure_id}.csv"
-    rows = [tuple(r[c] for c in fig.columns.values())
-            for r in read_csv(run_dir / fig.source)]
     write_csv(out, tuple(fig.columns), rows)
     return out
 
@@ -631,12 +684,19 @@ def calibrate_weight_law(rows) -> dict:
     ``rows`` are mappings with h_z_mT, n_pulses, n_sk.  Per-field slopes
     come from OLS on the cumulative counts; the slope of those slopes
     versus field gives the weight-field coefficient and its zero crossing
-    the cutoff field.
+    the cutoff field.  A row that lacks one of the three, or gives one
+    that is not a finite number, fails as ValidationError before any fit.
     """
     by_field: dict[float, list] = {}
-    for r in rows:
-        by_field.setdefault(float(r["h_z_mT"]), []).append(
-            (float(r["n_pulses"]), float(r["n_sk"])))
+    for i, r in enumerate(rows, start=1):
+        try:
+            h, n, sk = map(float, (r["h_z_mT"], r["n_pulses"], r["n_sk"]))
+            if not all(map(math.isfinite, (h, n, sk))):
+                raise ValueError
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError("traces", f"row {i}: h_z_mT, n_pulses and "
+                                            f"n_sk must be finite numbers")
+        by_field.setdefault(h, []).append((n, sk))
     if len(by_field) < 3:
         raise ValidationError("traces",
                               "need at least 3 distinct fields to calibrate")

@@ -77,11 +77,10 @@ class MeasurementTrace:
 
     def rows(self):
         """(index, phase, delta_v_nV, n_detec) tuples for CSV export."""
-        return [
-            (int(i), p, float(v), int(n))
-            for i, p, v, n in zip(self.index, self.phase, self.delta_v,
-                                  self.n_detec)
-        ]
+        return list(zip(np.asarray(self.index, dtype=np.int64).tolist(),
+                        self.phase,
+                        np.asarray(self.delta_v, dtype=float).tolist(),
+                        np.asarray(self.n_detec, dtype=np.int64).tolist()))
 
 
 def hall_voltage(n_detec, cal: DeviceCalibration, noise: bool = False,

@@ -470,6 +470,26 @@ class TestEmitFigureData:
         with pytest.raises(ValidationError):
             emit_figure_data(run_dir, "9z")
 
+    def test_missing_source_column(self, tmp_path, capsys):
+        run_dir = run_experiment(make_spec(tmp_path, "d", "detection_run",
+                                           params={"pulses": 3}))
+        trace = run_dir / "trace.csv"
+        trace.write_text(trace.read_text().replace("delta_v_nV", "dv", 1))
+        with pytest.raises(MissingArtifact, match="trace.csv.*'delta_v_nV'"):
+            emit_figure_data(run_dir, "3")
+        assert cli.main(["emit", str(run_dir), "3"]) == 3
+        assert "delta_v_nV" in capsys.readouterr().err
+        assert not (run_dir / "figure_3.csv").exists()
+
+    def test_missing_summary(self, tmp_path):
+        run_dir = run_experiment(make_spec(
+            tmp_path, "s", "nucleation_sweep",
+            params={"repeats": 2, "pulses": 3}))
+        (run_dir / "summary.json").unlink()
+        for figure_id in ("2g", "2h"):
+            with pytest.raises(MissingArtifact, match="summary.json"):
+                emit_figure_data(run_dir, figure_id)
+
 
 class TestCalibrate:
     def test_recovers_weight_law(self, tmp_path):
@@ -607,3 +627,15 @@ class TestCli:
         proc = self.run_cli("calibrate", str(traces), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "weight_field_slope" in out.read_text()
+
+    @pytest.mark.parametrize("bad_row", ["20,1", "20,1,many", "20,1,nan"])
+    def test_calibrate_bad_row_exits_2(self, tmp_path, capsys, bad_row):
+        traces = tmp_path / "traces.csv"
+        good = [f"{h},{n},{0.57 * (26.0 - h) * n}"
+                for h in (20.0, 22.0, 24.0) for n in range(0, 25, 4)]
+        traces.write_text("\n".join(["h_z_mT,n_pulses,n_sk", *good[:9],
+                                      bad_row, *good[9:]]) + "\n")
+        out = tmp_path / "calibration.yaml"
+        assert cli.main(["calibrate", str(traces), "--out", str(out)]) == 2
+        assert "row 10" in capsys.readouterr().err
+        assert not out.exists()
