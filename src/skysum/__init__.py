@@ -47,7 +47,6 @@ from .device import (
     weight_scale_duration,
 )
 from .errors import (
-    DegenerateCalibration,
     ExtrapolationError,
     InsufficientData,
     InvalidRatio,
@@ -94,10 +93,7 @@ from .transport import (
     DetectionZone,
     SkyrmionPopulation,
     advance,
-    apply_capacity,
-    count_in_zone,
     default_capacity,
-    field_reset,
     notch_position,
     reverse_erase,
     trajectory,

@@ -24,7 +24,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import (
-    DegenerateCalibration,
     ExtrapolationError,
     OutOfRange,
     RangeWarning,
@@ -104,6 +103,10 @@ class DeviceCalibration:
                      "per_skyrmion_voltage_mean", "skyrmion_diameter"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.duration_zero < self.duration_ref:
+            raise ValueError("duration_zero must be below duration_ref")
+        if not 0 <= self.current_threshold < self.current_ref:
+            raise ValueError("current_threshold must lie in [0, current_ref)")
         object.__setattr__(self, "velocity_points", points)
 
     @property
@@ -245,11 +248,8 @@ def weight_scale_duration(cal: DeviceCalibration, duration: float) -> float:
     ``duration_zero``, linear in between and clamped at zero below."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    denom = cal.duration_ref - cal.duration_zero
-    if denom == 0:
-        raise DegenerateCalibration(
-            "duration_ref equals duration_zero; duration law is degenerate")
-    return max(0.0, (duration - cal.duration_zero) / denom)
+    return max(0.0, (duration - cal.duration_zero)
+               / (cal.duration_ref - cal.duration_zero))
 
 
 def weight_scale_current(cal: DeviceCalibration, j: float) -> float:
@@ -257,11 +257,8 @@ def weight_scale_current(cal: DeviceCalibration, j: float) -> float:
     threshold: ``(J^2 - J_th^2) / (J_ref^2 - J_th^2)``, clamped at zero."""
     if j <= 0:
         raise ValueError("current density must be positive")
-    denom = cal.current_ref**2 - cal.current_threshold**2
-    if denom <= 0:
-        raise DegenerateCalibration(
-            "current_ref must exceed current_threshold")
-    return max(0.0, (j * j - cal.current_threshold**2) / denom)
+    return max(0.0, (j * j - cal.current_threshold**2)
+               / (cal.current_ref**2 - cal.current_threshold**2))
 
 
 def synaptic_weight(cal: DeviceCalibration, field, duration: float,

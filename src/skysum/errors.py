@@ -10,11 +10,6 @@ class StripeDomainRegime(SkysumError):
     would nucleate instead of isolated skyrmions."""
 
 
-class DegenerateCalibration(SkysumError):
-    """A calibration law has collapsed (zero denominator) and cannot be
-    evaluated."""
-
-
 class ExtrapolationError(SkysumError):
     """Requested point lies outside the calibrated table; extrapolation is
     deliberately not supported."""

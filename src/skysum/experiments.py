@@ -685,7 +685,8 @@ def calibrate_weight_law(rows) -> dict:
     come from OLS on the cumulative counts; the slope of those slopes
     versus field gives the weight-field coefficient and its zero crossing
     the cutoff field.  A row that lacks one of the three, or gives one
-    that is not a finite number, fails as ValidationError before any fit.
+    that is not a finite number, and a field with fewer than 3 rows or a
+    repeated n_pulses fail as ValidationError before any fit.
     """
     by_field: dict[float, list] = {}
     for i, r in enumerate(rows, start=1):
@@ -700,6 +701,11 @@ def calibrate_weight_law(rows) -> dict:
     if len(by_field) < 3:
         raise ValidationError("traces",
                               "need at least 3 distinct fields to calibrate")
+    for h, points in by_field.items():
+        if len(points) < 3 or len({n for n, _ in points}) < len(points):
+            raise ValidationError("traces", f"field {h:g} mT: need at least "
+                                            f"3 rows, each with its own "
+                                            f"n_pulses")
     per_field = []
     for h in sorted(by_field):
         fit = fit_weight(sorted(by_field[h]))

@@ -171,7 +171,7 @@ class SequencedTrack:
 
     ``pulse`` is the template of the forward pulse applied per pulsing
     sample (its count is not read) and ``rng`` supplies the nucleation
-    draws (None: integer weights nucleate deterministically).
+    draws.
     """
 
     zone: DetectionZone
@@ -179,7 +179,7 @@ class SequencedTrack:
     weight: float
     pulse: PulseTrain
     stochastic: StochasticModel
-    rng: np.random.Generator | None
+    rng: np.random.Generator
 
 
 def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
@@ -209,14 +209,9 @@ def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
         x, y, alive = trajectory([track.notch], track.pulse, cal, n)
         inside.append(alive[:, 0] & track.zone.contains(x[:, 0], y[:, 0]))
         # Kept apart from the cohorts, which a reset zeroes.
-        if n == 0:
-            births.append(np.zeros(0, dtype=np.int64))
-        elif track.rng is None:
-            births.append(np.full(n, _deterministic_count(track.weight),
-                                  dtype=np.int64))
-        else:
-            births.append(sample_pulse_sums(track.weight, track.stochastic,
-                                            track.rng, 1, n))
+        births.append(sample_pulse_sums(track.weight, track.stochastic,
+                                        track.rng, 1, n) if n
+                      else np.zeros(0, dtype=np.int64))
         cohorts.append(np.zeros(n, dtype=np.int64))
     pulses = [0] * len(tracks)
     # In-zone counts change only when a track is pulsed or reset.
@@ -262,7 +257,7 @@ def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
 
 
 def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
-                     rng: np.random.Generator | None = None,
+                     rng: np.random.Generator,
                      noise: bool = False,
                      sigma_meas: float = DEFAULT_SIGMA_MEAS_NV,
                      drift_rate: float = 0.0) -> MeasurementTrace:
@@ -273,10 +268,6 @@ def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
     supplies the nucleation draws of every pulse first, then the
     measurement noise.
     """
-    if noise and rng is None:
-        raise ProtocolError("noisy protocol needs an rng")
-    if rng is None and device.stochastic.p_bar > 0:
-        raise ProtocolError("stochastic nucleation requires an rng")
     track = SequencedTrack(
         zone=device.zone, notch=notch_position(device.cal),
         weight=device.weight,
@@ -284,14 +275,6 @@ def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
     return run_phases([(name, count, 0) for name, count in protocol.phases],
                       [track], device.cal, meas_rng=rng, noise=noise,
                       sigma_meas=sigma_meas, drift_rate=drift_rate)
-
-
-def _deterministic_count(w: float) -> int:
-    """Integer pulse yield when no rng is supplied; valid for integer w."""
-    if w != int(w):
-        raise ProtocolError(
-            "fractional weight requires an rng (Bernoulli on the fraction)")
-    return int(w)
 
 
 def drift_correct(trace: MeasurementTrace) -> MeasurementTrace:

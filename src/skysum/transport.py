@@ -1,17 +1,20 @@
 """Kinematic motion of discrete skyrmions along a track.
 
-Skyrmions are treated as labelled points.  Forward pulses translate every
-live skyrmion by ``dx = v(J) t`` along the track and ``dy = dx tan(theta_H)``
-across it (the skyrmion Hall deflection); reaching the far edge annihilates
-a skyrmion.  Reverse pulses retrace the same oblique path back towards the
+One motion law: every forward pulse translates a live skyrmion by
+``dx = v(J) t`` along the track and ``dy = dx tan(theta_H)`` across it
+(the skyrmion Hall deflection), and reaching the far edge or passing the
+track end annihilates it.  ``trajectory`` gives the state after 0..n-1
+pulses from each site; ``advance`` is its one-pulse step on a labelled
+population.  Reverse pulses retrace the same oblique path back towards the
 nucleation notch, where skyrmions are usually annihilated but occasionally
-pin as residuals.
+pin as residuals.  Crowding and the field reset act on counts, in the
+sequencer and the crossbar, not here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +27,10 @@ from .device import (
     step_displacement,
 )
 
-#: How far past the downstream zone boundary crowded-out skyrmions are
+#: How far past the downstream zone boundary a crowded-out skyrmion is
 #: parked (um).  The detection box is closed, so any positive offset is
-#: "just beyond".
+#: "just beyond"; the crossbar's capacity clamp is exact only for zones
+#: further apart than this.
 CAPACITY_DISPLACEMENT_UM = 1e-3
 
 
@@ -93,13 +97,6 @@ class SkyrmionPopulation:
             pinned=np.concatenate([self.pinned, np.zeros(n, dtype=bool)]),
         )
 
-    def to_rows(self, pulse_index: int = 0):
-        """Rows (pulse_index, id, x, y, alive) for trajectory CSV export."""
-        return [
-            (pulse_index, int(i), float(xx), float(yy), bool(a))
-            for i, xx, yy, a in zip(self.ids, self.x, self.y, self.alive)
-        ]
-
 
 @dataclass(frozen=True)
 class DetectionZone:
@@ -154,7 +151,8 @@ def notch_position(cal: DeviceCalibration,
 
 def advance(pop: SkyrmionPopulation, pulse: PulseTrain,
             cal: DeviceCalibration) -> SkyrmionPopulation:
-    """Apply one forward pulse: move every live skyrmion.
+    """Apply one forward pulse: move every live skyrmion as row 1 of its
+    ``trajectory``.
 
     Skyrmions whose deflection carries them to the far track edge, or past
     the end of the track, are annihilated.  Forward motion releases any
@@ -164,15 +162,12 @@ def advance(pop: SkyrmionPopulation, pulse: PulseTrain,
         raise ValueError("advance requires a forward pulse")
     if pulse.count != 1:
         raise ValueError("advance applies exactly one pulse (count = 1)")
-    dx, dy = step_displacement(cal, pulse)
-    x = np.where(pop.alive, pop.x + dx, pop.x)
-    y = np.where(pop.alive, pop.y + dy, pop.y)
-    survived = pop.alive & (y < cal.track_width) & (x <= cal.track_length)
+    x, y, on_track = trajectory(np.column_stack((pop.x, pop.y)), pulse, cal, 2)
     return SkyrmionPopulation(
         ids=pop.ids,
-        x=x,
-        y=y,
-        alive=survived,
+        x=np.where(pop.alive, x[1], pop.x),
+        y=np.where(pop.alive, y[1], pop.y),
+        alive=pop.alive & on_track[1],
         pinned=np.zeros_like(pop.pinned),
     )
 
@@ -182,8 +177,8 @@ def trajectory(sites, pulse: PulseTrain, cal: DeviceCalibration,
     """(x, y, alive), each (n, len(sites)): row k is the state after k
     forward pulses of a skyrmion started live at each (x, y) site.
 
-    Rows are running sums, so live rows equal k ``advance`` steps bit for
-    bit.  ``pulse.count`` is not read.
+    Rows are running sums, so row k equals k ``advance`` steps bit for
+    bit for a skyrmion still live.  ``pulse.count`` is not read.
     """
     if pulse.polarity != FORWARD:
         raise ValueError("trajectory requires a forward pulse")
@@ -237,36 +232,3 @@ def reverse_erase(pop: SkyrmionPopulation, pulses: PulseTrain,
         x, y = x_new, y_new
     return SkyrmionPopulation(ids=pop.ids, x=x, y=y, alive=alive,
                               pinned=pinned)
-
-
-def field_reset(pop: SkyrmionPopulation) -> SkyrmionPopulation:
-    """Saturating out-of-plane field: every skyrmion is erased."""
-    return SkyrmionPopulation.empty()
-
-
-def count_in_zone(pop: SkyrmionPopulation, zone: DetectionZone) -> int:
-    """Live skyrmions whose centre lies inside the closed detection box."""
-    if pop.ids.size == 0:
-        return 0
-    return int(np.count_nonzero(pop.alive & zone.contains(pop.x, pop.y)))
-
-
-def apply_capacity(pop: SkyrmionPopulation, zone: DetectionZone) -> SkyrmionPopulation:
-    """Crowd out skyrmions beyond the zone capacity.
-
-    The most recently arrived skyrmions (highest ids) are displaced just
-    past the downstream zone boundary so the in-zone count never exceeds
-    ``zone.capacity``.
-    """
-    if pop.ids.size == 0:
-        return pop
-    inside = pop.alive & zone.contains(pop.x, pop.y)
-    excess = int(np.count_nonzero(inside)) - zone.capacity
-    if excess <= 0:
-        return pop
-    inside_idx = np.flatnonzero(inside)
-    order = inside_idx[np.argsort(pop.ids[inside_idx])]
-    displaced = order[-excess:]
-    x = pop.x.copy()
-    x[displaced] = zone.bounds[1] + CAPACITY_DISPLACEMENT_UM
-    return replace(pop, x=x)

@@ -1,10 +1,17 @@
-"""Exact pulse-sum laws, a chi-squared check against them, and a
-window-by-window reference for the crossbar's count draws."""
+"""Exact pulse-sum laws, a chi-squared check against them, a
+window-by-window reference for the crossbar's count draws, and the
+particle reference for crowding, counting and the field reset."""
+
+from dataclasses import replace
 
 import numpy as np
 
 from skysum import pulse_distribution, sample_pulse_sums, stream
-from skysum.transport import trajectory
+from skysum.transport import (
+    CAPACITY_DISPLACEMENT_UM,
+    SkyrmionPopulation,
+    trajectory,
+)
 
 #: Upper 1e-6 quantile of chi-squared with 7 degrees of freedom.  Outcomes
 #: are merged into at most 8 bins and the quantile grows with the degrees
@@ -95,3 +102,35 @@ def window_column_counts(config, input_vector, model, trials, seed):
     return sum(draw_windows(config, i, pulse.count * ideal, model,
                             stream(seed, "track", i), trials)
                for i, pulse in enumerate(input_vector.pulses_per_track))
+
+
+def field_reset(pop):
+    """Saturating out-of-plane field: every skyrmion is erased."""
+    return SkyrmionPopulation.empty()
+
+
+def count_in_zone(pop, zone):
+    """Live skyrmions whose centre lies inside the closed detection box."""
+    if pop.ids.size == 0:
+        return 0
+    return int(np.count_nonzero(pop.alive & zone.contains(pop.x, pop.y)))
+
+
+def apply_capacity(pop, zone):
+    """Crowd out skyrmions beyond the zone capacity.
+
+    The most recently arrived skyrmions (highest ids) are displaced just
+    past the downstream zone boundary so the in-zone count never exceeds
+    ``zone.capacity``.
+    """
+    if pop.ids.size == 0:
+        return pop
+    inside = pop.alive & zone.contains(pop.x, pop.y)
+    excess = int(np.count_nonzero(inside)) - zone.capacity
+    if excess <= 0:
+        return pop
+    inside_idx = np.flatnonzero(inside)
+    order = inside_idx[np.argsort(pop.ids[inside_idx])]
+    x = pop.x.copy()
+    x[order[-excess:]] = zone.bounds[1] + CAPACITY_DISPLACEMENT_UM
+    return replace(pop, x=x)

@@ -26,16 +26,13 @@ from skysum import (
 from skysum import crossbar
 from skysum.crossbar import _windows
 from skysum.nucleation import MC_BLOCK, PULSE_BLOCK, pulse_distribution
-from skysum.transport import (
-    SkyrmionPopulation,
-    advance,
-    apply_capacity,
-    count_in_zone,
-)
+from skysum.transport import SkyrmionPopulation, advance
 
 from laws import (
     UNBOUNDED,
+    apply_capacity,
     assert_follows,
+    count_in_zone,
     sum_pmf,
     track_counts,
     trajectory_windows,

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skysum import (
-    DegenerateCalibration,
     DeviceCalibration,
     ExtrapolationError,
     FieldSetting,
@@ -102,9 +101,8 @@ class TestScaleFactors:
         assert weight_scale_duration(cal, 10.0) == 0.0
 
     def test_duration_degenerate(self):
-        bad = DeviceCalibration(duration_zero=50.0)
-        with pytest.raises(DegenerateCalibration):
-            weight_scale_duration(bad, 40.0)
+        with pytest.raises(ValueError, match="duration_zero"):
+            DeviceCalibration(duration_zero=50.0)
 
     def test_current_reference_points(self, cal):
         assert weight_scale_current(cal, 171.0) == 1.0
@@ -117,9 +115,11 @@ class TestScaleFactors:
         assert got == pytest.approx(0.622, abs=1e-3)
 
     def test_current_degenerate(self):
-        bad = DeviceCalibration(current_threshold=171.0)
-        with pytest.raises(DegenerateCalibration):
-            weight_scale_current(bad, 160.0)
+        # The law needs 0 <= J_th < J_ref: J_th >= J_ref zeroes or flips
+        # its denominator, and a negative threshold is not a threshold.
+        for threshold in (171.0, 200.0, -1.0):
+            with pytest.raises(ValueError, match="current_threshold"):
+                DeviceCalibration(current_threshold=threshold)
 
     @given(st.floats(min_value=0.1, max_value=3.0))
     def test_separability(self, factor):

@@ -132,6 +132,14 @@ class TestSpecValidation:
          "calibration.presett"),
         ("pareto", {"top": {"calibration_resolved": {"field_max": 30.0}}},
          "calibration_resolved"),
+        ("detection_run", {"calibration": {
+            "overrides": {"duration_zero": 50}}}, "calibration.overrides"),
+        ("detection_run", {"calibration": {
+            "overrides": {"duration_zero": 60}}}, "calibration.overrides"),
+        ("detection_run", {"calibration": {
+            "overrides": {"current_threshold": 171}}}, "calibration.overrides"),
+        ("detection_run", {"calibration": {
+            "overrides": {"current_threshold": 200}}}, "calibration.overrides"),
     ])
     def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
                                           params, path):
@@ -638,4 +646,19 @@ class TestCli:
         out = tmp_path / "calibration.yaml"
         assert cli.main(["calibrate", str(traces), "--out", str(out)]) == 2
         assert "row 10" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pulses", [[0, 4], [1, 1, 1]],
+                             ids=["two-rows", "one-n_pulses"])
+    def test_calibrate_unfittable_field_exits_2(self, tmp_path, capsys,
+                                                pulses):
+        # Fields 20 and 22 can be fitted; field 24 cannot.
+        rows = [(h, n, 0.57 * (26.0 - h) * n)
+                for h in (20.0, 22.0) for n in range(0, 25, 4)]
+        rows += [(24.0, n, 1.14 * n) for n in pulses]
+        traces = tmp_path / "traces.csv"
+        write_csv(traces, ("h_z_mT", "n_pulses", "n_sk"), rows)
+        out = tmp_path / "calibration.yaml"
+        assert cli.main(["calibrate", str(traces), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: traces: field 24 ")
         assert not out.exists()

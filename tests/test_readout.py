@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,15 +30,9 @@ from skysum import (
 )
 from skysum.nucleation import _lookup, _sum_cdf
 from skysum.readout import SequencedTrack, run_phases
-from skysum.transport import (
-    SkyrmionPopulation,
-    advance,
-    apply_capacity,
-    count_in_zone,
-    field_reset,
-)
+from skysum.transport import SkyrmionPopulation, advance
 
-from laws import UNBOUNDED
+from laws import UNBOUNDED, apply_capacity, count_in_zone, field_reset
 
 
 def unit_weight_device(cal, zone, p_bar=0.0):
@@ -242,19 +235,6 @@ class TestCohortSequencer:
             u = stream(seed, "replay", 0).random((1, 1))
             born = _lookup([table], u)[0, 0]
             assert trace.n_detec.tolist() == [born, born]
-
-    def test_rng_free_track_raises_only_when_pulsed(self):
-        # Without an rng only an integer weight has a count, and a
-        # fractional weight is an error only on a track the plan pulses.
-        cal = paper2024()
-        tracks = [replace(t, rng=None) for t in replay_tracks(
-            0, [(171.0, 1.0, 0.0, 8.0, 81),
-                (150.0, 0.7, 0.0, 18.0, 81)])]
-        plan = [("pulsing", 5, 0), ("post", 2, None)]
-        trace = run_phases(plan, tracks, cal)
-        assert trace.n_detec.tolist() == [1, 2, 3, 4, 5, 5, 5]
-        with pytest.raises(ProtocolError, match="fractional weight"):
-            run_phases(plan + [("pulsing", 1, 1)], tracks, cal)
 
 
 class TestDriftCorrect:

@@ -10,16 +10,15 @@ from skysum import (
     PulseTrain,
     SkyrmionPopulation,
     advance,
-    apply_capacity,
-    count_in_zone,
     default_capacity,
-    field_reset,
     notch_position,
     reverse_erase,
     stream,
     trajectory,
     zone_within_track,
 )
+
+from laws import apply_capacity, count_in_zone, field_reset
 
 # Velocity table chosen so J = 150 gives exactly 10 m/s (0.5 um per 50 ns).
 KCAL = DeviceCalibration(velocity_points=((150.0, 10.0), (200.0, 40.0)))
@@ -43,11 +42,6 @@ class TestPopulation:
         pop = pop.spawn(3, 5.0, 1.0)
         assert pop.n_alive == 4
         assert len(set(pop.ids.tolist())) == 4
-
-    def test_rows_export(self):
-        pop = SkyrmionPopulation.at_positions([(10.0, 2.0)])
-        rows = pop.to_rows(pulse_index=7)
-        assert rows == [(7, 0, 10.0, 2.0, True)]
 
 
 class TestAdvance:
@@ -119,6 +113,26 @@ class TestTrajectory:
             assert np.array_equal(y[k][pop.alive], pop.y[pop.alive])
             pop = advance(pop, STEP, KCAL)
         assert alive[-1].tolist() == [True, False, False, True]
+
+    def test_advance_is_row_one(self):
+        # A live skyrmion, one at the far edge, one past the track end, a
+        # dead one and two notch-pinned residuals: advance moves the live
+        # ones to row 1, keeps the dead one where it lies and releases the
+        # pinned.
+        sites = np.array([(10.0, 2.0), (10.0, 5.9), (39.8, 1.0), (12.0, 3.0),
+                          notch_position(KCAL), notch_position(KCAL)])
+        pop = SkyrmionPopulation(
+            ids=np.arange(6), x=sites[:, 0], y=sites[:, 1],
+            alive=np.array([True, True, True, False, True, True]),
+            pinned=np.array([False, False, False, False, True, True]))
+        x, y, alive = trajectory(sites, STEP, KCAL, 2)
+        out = advance(pop, STEP, KCAL)
+        assert out.alive.tolist() == [True, False, False, False, True, True]
+        assert np.array_equal(out.alive, pop.alive & alive[1])
+        assert np.array_equal(out.x[pop.alive], x[1][pop.alive])
+        assert np.array_equal(out.y[pop.alive], y[1][pop.alive])
+        assert (out.x[3], out.y[3]) == (12.0, 3.0)
+        assert not out.pinned.any()
 
     def test_reverse_pulse_refused(self):
         with pytest.raises(ValueError):
