@@ -11,6 +11,7 @@ dotted path of the offending field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -41,7 +42,8 @@ class Param(NamedTuple):
     """One parameter: a kind from ``_KINDS``, a non-empty list of one
     ("ints", "floats", "strs"), or "matrix"; a default (None: required; a
     callable gets the calibration and the parameters resolved before it);
-    and bounds, which apply to a scalar and to each entry of a list."""
+    and bounds, which apply to a scalar and to each entry of a list.  A
+    float, or an entry of a list of floats, must be finite."""
 
     kind: str
     default: Any = None
@@ -70,6 +72,9 @@ _KINDS = {
 
 
 def _bounded(param: Param, value, where: str):
+    if param.kind.startswith("float"):
+        # nan, inf and an int too large for a float all fail this.
+        _expect(abs(value) <= sys.float_info.max, where, "must be finite")
     if param.positive:
         _expect(value > 0, where, "must be > 0")
     if param.minimum is not None:

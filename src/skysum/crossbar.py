@@ -162,10 +162,11 @@ def _pulse_counts(config: CrossbarConfig,
 
 def _capacities(config: CrossbarConfig) -> np.ndarray:
     """(M, L) zone capacities, read once per distinct zone row object."""
-    rows = {id(row): row for row in config.zones}
-    index = {key: k for k, key in enumerate(rows)}
+    rows = dict(zip(map(id, config.zones), config.zones))
+    index = dict(zip(rows, range(len(rows))))
     return np.array([[zone.capacity for zone in row] for row in rows.values()],
-                    dtype=np.int64)[[index[id(row)] for row in config.zones]]
+                    dtype=np.int64).take(
+        list(map(index.__getitem__, map(id, config.zones))), axis=0)
 
 
 def expected_sums(config: CrossbarConfig, input_vector: InputVector) -> np.ndarray:
@@ -208,36 +209,47 @@ def _kinematic_counts(config: CrossbarConfig, input_vector: InputVector,
     Each window of non-zero pulses and weight is one (track, site, column,
     pulses) entry, and ``sample_stream_sums`` draws track i's entries in
     (s, j) order from the ``(seed, "track", i)`` stream: one exact sum of
-    that many pulses at weight ``w_is``.  One ``bincount`` per block adds
-    the totals up by crossing, and one clamp applies every capacity.  The
-    windows are looked up, all before anything is drawn, once per distinct
-    zone row object and pulse train value, so equal trains share a lookup
-    even when they are distinct objects.
+    that many pulses at weight ``w_is``.  The entries are found by flat
+    index on an (M, cells) grid, over only the (s, j) cells that some
+    track's windows fill.  One ``bincount`` per block adds the totals up
+    by crossing, and one clamp applies every capacity.  The windows and
+    capacities are looked up, all before anything is drawn, once per
+    distinct zone row object and pulse train value, so equal trains share
+    a lookup even when they are distinct objects.
     """
     m, l = config.m_tracks, config.l_columns
-    looked_up, found, which = {}, [], []
-    for i, (row, pulse) in enumerate(zip(config.zones,
-                                         input_vector.pulses_per_track)):
-        k = looked_up.setdefault((id(row), pulse), len(found))
+    trains = input_vector.pulses_per_track
+    keys = list(zip(map(id, config.zones), map(id, trains)))
+    by_value, index, found, capacity = {}, {}, [], []
+    for key, (row, pulse) in dict(zip(keys, zip(config.zones,
+                                                trains))).items():
+        index[key] = k = by_value.setdefault((key[0], pulse), len(found))
         if k == len(found):
             found.append(_windows(row, pulse, cal))
             if found[k] is None:
-                raise ValueError(f"zones of track {i} overlap or lie within "
-                                 f"{CAPACITY_DISPLACEMENT_UM} um of each other")
-        which.append(k)
-    windows = np.stack(found)[which]
-    windows *= config.weights[:, :, None] > 0
-    track, site, column = np.nonzero(windows)
-    crossing = track * l + column
+                raise ValueError(f"zones of track {keys.index(key)} overlap "
+                                 f"or lie within {CAPACITY_DISPLACEMENT_UM} "
+                                 "um of each other")
+            capacity.append([zone.capacity for zone in row])
+    which = np.array(list(map(index.__getitem__, keys)))
+    windows = np.stack(found).reshape(len(found), l * l)
+    cells = np.flatnonzero(windows.any(axis=0))
+    site = cells // l
+    pulses = windows.take(cells, axis=1).take(which, axis=0)
+    weights = config.weights.take(site, axis=1)
+    entry = np.flatnonzero((pulses > 0) & (weights > 0))
+    # Divided once: numpy's integer ``%`` costs several times ``//``.
+    track = entry // cells.size
+    crossing = (cells - site * l).take(entry - track * cells.size)
+    crossing += track * l
     counts = np.zeros(m * l)
     for entries, totals in sample_stream_sums(
-            config.weights[track, site], stochastic,
-            windows[track, site, column], 1, track,
+            weights.take(entry), stochastic, pulses.take(entry), 1, track,
             streams(seed, ("track",), 0, m)):
         counts += np.bincount(crossing[entries], weights=totals[:, 0],
                               minlength=m * l)
     counts = counts.astype(np.int64).reshape(m, l)
-    return np.minimum(counts, _capacities(config), out=counts)
+    return np.minimum(counts, np.take(capacity, which, axis=0), out=counts)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -61,6 +62,8 @@ class DeviceCalibration:
     track_length         um
     notch_depth_fraction fraction of the track width taken by the notch
     multilayer_thickness nm, total magnetic stack thickness
+
+    Every field is finite.
     """
 
     weight_field_slope: float = -0.57
@@ -81,11 +84,17 @@ class DeviceCalibration:
     multilayer_thickness: float = 85.0
 
     def __post_init__(self):
+        points = tuple((float(j), float(v)) for j, v in self.velocity_points)
+        for f in fields(self):
+            values = (sum(points, ()) if f.name == "velocity_points"
+                      else (getattr(self, f.name),))
+            # nan, inf and an int too large for a float all fail this.
+            if not all(abs(v) <= sys.float_info.max for v in values):
+                raise ValueError(f"{f.name} must be finite")
         if not self.field_min < self.field_max:
             raise ValueError("field_min must be below field_max")
         if not self.weight_field_slope < 0:
             raise ValueError("weight_field_slope must be negative")
-        points = tuple((float(j), float(v)) for j, v in self.velocity_points)
         if len(points) < 2:
             raise ValueError("velocity_points needs at least two knots")
         js = [p[0] for p in points]

@@ -67,7 +67,7 @@ from .readout import (
     drift_correct,
     measure_protocol,
 )
-from .rng import stream
+from .rng import stream, streams
 from .transport import DetectionZone, zone_within_track
 
 
@@ -241,11 +241,13 @@ def run_nucleation_sweep(cal: DeviceCalibration, seed: int, outdir: Path, *,
                              duration)
 
     slope_rows, trace_rows, per_value = [], [], []
-    for vi, (value, w) in enumerate(zip(values, weights)):
+    # Value vi draws from the (seed, "sweep", vi) stream; one key pass
+    # derives them all.
+    for value, w, rng in zip(values, weights,
+                             streams(seed, ("sweep",), 0, len(values))):
         # One-pulse totals, one row per repeat, after a leading zero
         # column: the cumulative count before any pulse.
-        counts = np.pad(sample_pulse_sums(w, model, stream(seed, "sweep", vi),
-                                          1, repeats * pulses
+        counts = np.pad(sample_pulse_sums(w, model, rng, 1, repeats * pulses
                                           ).reshape(repeats, pulses),
                         ((0, 0), (1, 0)))
         cumulative = np.cumsum(counts, axis=1)

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InsufficientData, SingularFit
-from .rng import stream
+from .rng import streams
 
 #: Trials per derived stream in blocked Monte Carlo loops.  Trial t lives in
 #: block t // MC_BLOCK, so any parallel split at block boundaries reproduces
@@ -79,21 +79,43 @@ def pulse_distribution(w, model: StochasticModel
     is 0: the device is at its cutoff field and there is no attempt for
     the thermal fluctuation to act on.
     """
-    w = np.asarray(w, dtype=float)[..., None]
-    if not ((w >= 0) & (w < np.inf)).all():
+    w = np.asarray(w, dtype=float)
+    lowest = w.min(initial=np.inf)
+    if not (lowest >= 0 and w.max(initial=0.0) < np.inf):
         raise ValueError("weight must be finite and >= 0")
     p_minus, p_plus = model.deviation_probabilities()
     p_stay = 1.0 - p_minus - p_plus
     base = np.floor(w)
     frac = w - base
-    probs = ((1.0 - frac) * [p_minus, p_stay, p_plus, 0.0]
-             + frac * [0.0, p_minus, p_stay, p_plus])
-    values = np.maximum(base.astype(np.int64) + np.arange(-1, 3), 0)
-    zero = w[..., 0] == 0
-    if zero.any():
-        values[zero] = 0
-        probs[zero] = (1.0, 0.0, 0.0, 0.0)
-    return values, probs
+    # An outcome at a time, then viewed with the outcome axis last: numpy
+    # pays its loop overhead per weight on a last axis of 4, or to
+    # broadcast one.  Outcome k has probability (1 - frac) * (p_minus,
+    # p_stay, p_plus, 0)[k] + frac * (0, p_minus, p_stay, p_plus)[k]; a
+    # zero term adds +0.0 to a non-negative product, so it is left out.
+    low = 1.0 - frac
+    probs = np.empty((4,) + w.shape)
+    np.multiply(low, p_minus, out=probs[0, ...])
+    np.multiply(low, p_stay, out=probs[1, ...])
+    probs[1] += frac * p_minus
+    np.multiply(low, p_plus, out=probs[2, ...])
+    probs[2] += frac * p_stay
+    np.multiply(frac, p_plus, out=probs[3, ...])
+    values = np.empty((4,) + w.shape, dtype=np.int64)
+    values[1] = base
+    np.subtract(values[1], 1, out=values[0, ...])
+    np.maximum(values[0], 0, out=values[0, ...])
+    np.add(values[1], 1, out=values[2, ...])
+    np.add(values[1], 2, out=values[3, ...])
+    if lowest == 0:
+        zero = w == 0
+        values[:, zero] = 0
+        probs[:, zero] = ((1.0,), (0.0,), (0.0,), (0.0,))
+    return _outcomes_last(values), _outcomes_last(probs)
+
+
+def _outcomes_last(a: np.ndarray) -> np.ndarray:
+    """View of an outcome-major array ``(4, ...)`` as ``(..., 4)``."""
+    return a.transpose(*range(1, a.ndim), 0)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -112,22 +134,27 @@ def _pulse_law(w: float, p_bar: float
 TABLE, PULSES, MULTINOMIAL = range(3)
 
 
-def _kernel(values: np.ndarray, n, size: int):
-    """Kernel that draws ``size`` totals of ``n`` pulses with outcomes
-    ``values`` (..., 4): TABLE for a batch as long as the support, of at
-    most MC_BLOCK totals; else PULSES for one total of at most MC_BLOCK
-    pulses; else MULTINOMIAL.  Written as arithmetic on the codes, which
-    costs a scalar call far less than ``np.where``."""
-    off_table = (values.T[-1] - values.T[0]) * n >= min(size, MC_BLOCK)
+def _kernel(span, n, size: int):
+    """Kernel that draws ``size`` totals of ``n`` pulses whose one-pulse
+    outcomes span ``span`` (last value minus first): TABLE for a batch as
+    long as the support, of at most MC_BLOCK totals; else PULSES for one
+    total of at most MC_BLOCK pulses; else MULTINOMIAL.  Written as
+    arithmetic on the codes, which costs a scalar call far less than
+    ``np.where``."""
+    off_table = span * n >= min(size, MC_BLOCK)
     return off_table * (MULTINOMIAL - ((size == 1) & (n <= MC_BLOCK)))
 
 
 def _pulse_cdf(probs: np.ndarray) -> np.ndarray:
     """P(count <= outcome k) of one pulse for outcomes (..., 4), computed as
     ``_sum_cdf`` computes the one-pulse table, so the two agree bit for
-    bit."""
-    cdf = np.cumsum(probs, axis=-1)
-    return cdf / cdf[..., -1:]
+    bit: the outcomes are added in order, an outcome at a time as
+    ``pulse_distribution`` builds them."""
+    cdf = probs.transpose(-1, *range(probs.ndim - 1)).copy()
+    for k in range(1, 4):
+        cdf[k] += cdf[k - 1]
+    cdf /= cdf[-1]
+    return _outcomes_last(cdf)
 
 
 def _place(values: np.ndarray, cdf: np.ndarray, n_pulses, u: np.ndarray
@@ -140,11 +167,15 @@ def _place(values: np.ndarray, cdf: np.ndarray, n_pulses, u: np.ndarray
     ``cdf`` (K, 4) is <= u, so it lands exactly where
     ``_lookup([_sum_cdf(w, p_bar, 1)], u)`` does; the last outcome is never
     tested, and one of probability 0 (floor(w) + 2 at an integer weight)
-    has cdf 1 before it, out of reach of u < 1.
+    has cdf 1 before it, out of reach of u < 1.  The cdf never decreases,
+    so the steps are the count of its first three entries that are <= u,
+    taken a column at a time on the column repeated per pulse.
     """
+    step = (np.repeat(cdf[:, 0], n_pulses) <= u).view(np.uint8)
+    for k in (1, 2):
+        step += (np.repeat(cdf[:, k], n_pulses) <= u).view(np.uint8)
     idx = np.repeat(np.arange(0, cdf.size, 4), n_pulses)
-    for _ in range(3):
-        idx += cdf.take(idx) <= u
+    idx += step
     counts = np.bincount(idx, minlength=cdf.size).reshape(-1, 4)
     return np.einsum("kv,kv->k", counts, values.reshape(-1, 4))
 
@@ -275,7 +306,7 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
     if weights.ndim == n.ndim == 0:
         w, n = float(weights), int(n)
         values, probs, cdf = _pulse_law(w, p_bar)
-        kernel = _kernel(values, n, size)
+        kernel = _kernel(values[-1] - values[0], n, size)
         if kernel == TABLE:
             return _lookup([_sum_cdf(w, p_bar, n)], rng.random((1, size)))[0]
         if kernel == PULSES:
@@ -289,6 +320,14 @@ def sample_pulse_sums(w, model: StochasticModel, rng: np.random.Generator,
                                              np.zeros_like(n), (rng,)):
         totals[entries] = block
     return totals.T
+
+
+def _boundaries(change: np.ndarray) -> np.ndarray:
+    """Start of each run of K entries and then K, given ``change``, which
+    says for each entry after the first whether a run starts there."""
+    edges = np.ones(change.size + 2, dtype=bool)
+    edges[1:-1] = change
+    return np.flatnonzero(edges)
 
 
 def sample_stream_sums(w, model: StochasticModel, n_pulses, size: int,
@@ -308,6 +347,13 @@ def sample_stream_sums(w, model: StochasticModel, n_pulses, size: int,
     once MC_BLOCK table uniforms (or one longer row) are waiting and one
     ``_place`` once PULSE_BLOCK per-pulse uniforms are, so no temporary
     outgrows about a block however many entries or generators there are.
+
+    All but the draws is laid out first: the law, evaluated once per run
+    of equal consecutive weights (a crossbar site's windows share one) and
+    read by each entry through its run's index; each entry's kernel; and
+    the runs of one generator and kernel, each with its count of uniforms.
+    A run then costs one re-key and one ``random`` call, and one more call
+    for each block it fills.
     """
     weights = np.asarray(w, dtype=float).reshape(-1)
     n = np.asarray(n_pulses, dtype=np.int64).reshape(-1)
@@ -317,75 +363,84 @@ def sample_stream_sums(w, model: StochasticModel, n_pulses, size: int,
     if not n.size:
         return
     p_bar = float(model.p_bar)
-    values, probs = pulse_distribution(weights, model)
+    # One law per run of equal consecutive weights, and each entry's run.
+    runs = _boundaries(weights[1:] != weights[:-1])
+    law = np.repeat(np.arange(runs.size - 1), runs[1:] - runs[:-1])
+    values, probs = pulse_distribution(weights[runs[:-1]], model)
     cdf = _pulse_cdf(probs)
-    kernel = _kernel(values, n, size)
-    # Runs of one generator and kernel, keyed 3 * group + kernel.
+    kernel = _kernel((values[:, -1] - values[:, 0]).take(law), n, size)
+    # Runs of one generator and kernel, keyed 3 * group + kernel, and the
+    # uniforms each run draws.
     key = 3 * group + kernel
-    edges = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
-    # Per kernel: the uniforms a block waits for and the most it holds (a
-    # per-pulse block ends at the entry that takes it past PULSE_BLOCK),
-    # its buffer and its entries [start, stop, count, uniforms].
-    rows = max(1, MC_BLOCK // max(size, 1))
-    full = rows * size, PULSE_BLOCK
-    room = rows * size, PULSE_BLOCK + MC_BLOCK
-    buffers, held = [None, None], [[0, 0, 0, 0], [0, 0, 0, 0]]
+    edges = _boundaries(key[1:] != key[:-1])
+    starts = edges[:-1]
+    kinds = kernel.take(starts)
+    uniforms = np.add.reduceat(np.where(kernel == PULSES, n, size), starts)
 
-    def transform(kind):
-        start, stop, count, fill = held[kind]
-        held[kind][:] = stop, stop, 0, 0
+    def transform(kind, start, stop, count, fill):
         entries = (slice(start, stop) if stop - start == count
                    else start + np.flatnonzero(kernel[start:stop] == kind))
         u = buffers[kind][:fill]
         if kind == PULSES:
-            return entries, _place(values[entries], cdf[entries], n[entries],
-                                   u)[:, None]
+            laws = law[entries]
+            return entries, _place(values.take(laws, axis=0),
+                                   cdf.take(laws, axis=0), n[entries], u
+                                   )[:, None]
         tables = [_sum_cdf(wk, p_bar, nk) for wk, nk
                   in zip(weights[entries].tolist(), n[entries].tolist())]
         return entries, _lookup(tables, u.reshape(count, size))
 
+    # Per kind: a block is transformed once it holds ``full`` uniforms (a
+    # table block ``rows`` rows of ``size``, a per-pulse block PULSE_BLOCK),
+    # and a run that would take it past ``room`` is cut at the last entry
+    # that fits; per-pulse entries hold at most MC_BLOCK uniforms.  Each
+    # kind's buffer holds a block, or all there is; ``held`` the open
+    # block's first entry, entries and uniforms.
+    rows = max(1, MC_BLOCK // max(size, 1))
+    full = rows * size, PULSE_BLOCK
+    room = rows * size, PULSE_BLOCK + MC_BLOCK
+    total = np.bincount(kinds, weights=uniforms, minlength=3)
+    buffers = [np.empty(min(r, int(t))) for r, t in zip(room, total)]
+    held = [[0, 0, 0], [0, 0, 0]]
     generators, at = iter(rngs), -1
-    for k, start, stop, m in zip(key[edges].tolist(), edges,
-                                 edges[1:] + [n.size],
-                                 np.add.reduceat(n, edges).tolist()):
-        g, kind = divmod(k, 3)
+    for start, stop, g, kind, m in zip(starts.tolist(), edges[1:].tolist(),
+                                       group.take(starts).tolist(),
+                                       kinds.tolist(), uniforms.tolist()):
         if g < at:
             raise ValueError("group must be non-decreasing")
         while at < g:
             rng, at = next(generators), at + 1
         if kind == MULTINOMIAL:
             run = slice(start, stop)
-            draws = rng.multinomial(n[run, None], probs[run, None, :],
+            draws = rng.multinomial(n[run, None],
+                                    probs.take(law[run], axis=0)[:, None],
                                     size=(stop - start, size))
-            yield run, np.einsum("ksv,kv->ks", draws, values[run])
+            yield run, np.einsum("ksv,kv->ks", draws,
+                                 values.take(law[run], axis=0))
             continue
-        if kind == TABLE:
-            m = (stop - start) * size
-        if buffers[kind] is None:   # at most what the rest of the call holds
-            rest = (n.size - start) * size if kind == TABLE else n[start:].sum()
-            buffers[kind] = np.empty(min(room[kind], int(rest)))
         block, buffer = held[kind], buffers[kind]
         while start < stop:
-            fill, cut, take = block[3], stop, m
+            _, count, fill = block
+            cut, take = stop, m
             free = room[kind] - fill
-            if m > free:   # draw the entries that fit
-                if kind == TABLE:
-                    cut = start + free // size
-                    take = (cut - start) * size
-                else:
-                    ends = np.cumsum(n[start:stop])
-                    cut = start + int(ends.searchsorted(free, side="right"))
-                    take = int(ends[cut - start - 1]) if cut > start else 0
-            if not block[2]:
-                block[0] = start
+            if m > free and kind == TABLE:   # the entries that fit
+                cut = start + free // size
+                take = (cut - start) * size
+            elif m > free:
+                ends = np.cumsum(n[start:stop])
+                cut = start + int(ends.searchsorted(free, side="right"))
+                take = int(ends[cut - start - 1]) if cut > start else 0
             rng.random(out=buffer[fill:fill + take])
-            block[1:] = cut, block[2] + cut - start, fill + take
+            if not count:
+                block[0] = start
+            block[1:] = count + cut - start, fill + take
             start, m = cut, m - take
             if fill + take >= full[kind] or start < stop:
-                yield transform(kind)
-    for kind in (TABLE, PULSES):
-        if held[kind][2]:
-            yield transform(kind)
+                yield transform(kind, block[0], cut, *block[1:])
+                block[1:] = 0, 0
+    for kind, (start, count, fill) in enumerate(held):
+        if count:
+            yield transform(kind, start, n.size, count, fill)
 
 
 def simulate_cumulative(w: float, model: StochasticModel, n_pulses: int,
@@ -414,7 +469,8 @@ def monte_carlo_sigma(model: StochasticModel, n_pulse: int, trials: int,
     """Empirical std of (sum of counts)/n_pulse over independent trials.
 
     Each trial's sum is drawn exactly by ``sample_pulse_sums``.  Trials
-    come from Philox streams derived per block of MC_BLOCK trials, so
+    come from Philox streams derived per block of MC_BLOCK trials, block
+    k from ``(seed, "mc-sigma", *path, k)``, all in one key pass, so
     memory stays bounded, reruns with the same seed are bit-identical and
     blocks can be distributed across workers.  ``path`` decorrelates
     repeated calls that share a seed (e.g. points of a parameter sweep).
@@ -424,15 +480,12 @@ def monte_carlo_sigma(model: StochasticModel, n_pulse: int, trials: int,
     if n_pulse < 1:
         raise ValueError("n_pulse must be >= 1")
     means = np.empty(trials)
-    done = 0
-    block_index = 0
-    while done < trials:
+    blocks = -(-trials // MC_BLOCK)
+    for done, g in zip(range(0, trials, MC_BLOCK),
+                       streams(seed, ("mc-sigma", *path), 0, blocks)):
         nb = min(MC_BLOCK, trials - done)
-        g = stream(seed, "mc-sigma", *path, block_index)
         means[done:done + nb] = sample_pulse_sums(w, model, g, n_pulse,
                                                   nb) / n_pulse
-        done += nb
-        block_index += 1
     return float(means.std(ddof=1))
 
 

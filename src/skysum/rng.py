@@ -56,43 +56,58 @@ def stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+@functools.lru_cache(maxsize=64)
+def _hash_columns(extra: int) -> tuple[np.ndarray, ...]:
+    """Rows of four uint32 constants, entry i for pool word i: the xor and
+    the multiplier that hash the last path word, the xor and the
+    multiplier of ``generate_state``'s hash, and the two mix multipliers.
+    The hash constant has advanced 16 + 4 steps per entropy word past the
+    fourth (``extra`` of them) when the last word is mixed in, and one
+    step per pool word after that."""
+    a = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 2**32) & _MASK
+    powers_a = [a * pow(_MULT_A, i, 2**32) & _MASK for i in range(5)]
+    powers_b = [_INIT_B * pow(_MULT_B, i, 2**32) & _MASK for i in range(5)]
+    columns = np.array([powers_a[:4], powers_a[1:], powers_b[:4],
+                        powers_b[1:], [_MIX_L] * 4, [_MIX_R] * 4],
+                       dtype=np.uint32)
+    columns.flags.writeable = False
+    return tuple(columns)
+
+
 def streams(seed: int, prefix: tuple, first: int, count: int):
     """Yield ``stream(seed, *prefix, first + k)`` for k < count, bit for
     bit, from one key pass.  The same generator is re-keyed before each
     yield, so draw from each stream before asking for the next.
 
     The prefix's pool is numpy's own.  Its entropy is the seed's words,
-    padded to four when there is a spawn key, then the prefix, so the hash
-    constant has advanced 16 + 4 steps per word past the fourth.  The last
-    word is mixed in and ``generate_state(2, uint64)`` applied on uint64
-    arrays masked to 32 bits; each key re-keys one Philox, seeded from the
-    prefix's sequence (any seed would do) so that it reads no OS entropy.
+    padded to four when there is a spawn key, then the prefix.  The last
+    word is mixed into all four pool words at once and
+    ``generate_state(2, uint64)`` applied, as (count, 4) uint32 arrays
+    whose products wrap as the hash's do; the constants come per entropy
+    length from ``_hash_columns``.  Each key re-keys one Philox, seeded
+    from the prefix's sequence (any seed would do) so that it reads no OS
+    entropy.
     """
     _path_key(first), _path_key(first + max(count - 1, 0))
     spawn_key = tuple(_path_key(p) for p in prefix)
     sequence = np.random.SeedSequence(int(seed), spawn_key=spawn_key)
-    last = np.arange(first, first + count, dtype=np.uint64)
     extra = max(0, (int(seed).bit_length() + 31) // 32 - 4) + len(spawn_key)
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 2**32) & _MASK
-    const_b, words = _INIT_B, []
-    for word in sequence.pool.tolist():
-        value = last ^ const              # hashmix of the last word ...
-        const = const * _MULT_A & _MASK
-        value = value * const & _MASK
-        value ^= value >> 16
-        value = ((_MIX_L * word & _MASK) - _MIX_R * value) & _MASK
-        value ^= value >> 16              # ... mixed into the pool word
-        value ^= const_b                  # generate_state's hash of it
-        const_b = const_b * _MULT_B & _MASK
-        value = value * const_b & _MASK
-        words.append(value ^ value >> 16)
+    xor_a, mul_a, xor_b, mul_b, mix_l, mix_r = _hash_columns(extra)
+    value = np.arange(first, first + count, dtype=np.uint32)[:, None] ^ xor_a
+    value *= mul_a                        # hashmix of the last word ...
+    value ^= value >> 16
+    value *= mix_r
+    value = np.subtract(mix_l * sequence.pool, value, out=value)
+    value ^= value >> 16                  # ... mixed into each pool word
+    value ^= xor_b                        # generate_state's hash of it
+    value *= mul_b
+    value ^= value >> 16
+    keys = value.astype("<u4", copy=False).view("<u8").tolist()
     bit_generator = np.random.Philox(sequence)
     generator, state = np.random.Generator(bit_generator), bit_generator.state
     # As lists of ints the state is set in half the time of numpy arrays.
     state["state"]["counter"] = state["buffer"] = [0] * 4
-    for key in zip((words[0] | words[1] << 32).tolist(),
-                   (words[2] | words[3] << 32).tolist()):
+    for key in keys:
         state["state"]["key"] = key
         bit_generator.state = state
         yield generator
-

@@ -343,21 +343,33 @@ def _lossy_at(current):
     return make
 
 
+def _lossy_equal(cal4):
+    # Once the test below adds 0.37 to columns 1::3, column 2::3 equals
+    # column 1::3 bit for bit: every (track, site) with a weight shares it
+    # with its neighbours, across tracks too, but for track 1's sites 7-8.
+    cal, cfg, pulse = _lossy(cal4)
+    weights = np.ones(cfg.weights.shape)
+    weights[1, 6:9] = 0.6
+    weights[:, 2::3] = weights[:, 1::3] + 0.37
+    return cal, dataclasses.replace(cfg, weights=weights), pulse
+
+
 class TestStreamIdentity:
     """One sampler call per track draws, bit for bit, what one scalar call
     per window drew on the same per-track streams."""
 
     @pytest.mark.parametrize("make", [
         _lossless, _lossy, _lossy_at(150.0), _lossy_at(200.0), _crowded,
-        _lossy_crowded,
+        _lossy_crowded, _lossy_equal,
     ], ids=["lossless", "lossy-171", "lossy-150", "lossy-200", "capacity",
-            "lossy-capacity"])
+            "lossy-capacity", "lossy-equal-weights"])
     def test_weighted_sum_equals_window_loop(self, cal4, make):
         cal, cfg, pulse = make(cal4)
         weights = cfg.weights.copy()
         weights[:, ::3] = 0.0
         weights[:, 1::3] += 0.37   # fractional, some above 1
         cfg = dataclasses.replace(cfg, weights=weights)
+        # Each track has a train of its own, so windows of its own.
         iv = InputVector(tuple(
             dataclasses.replace(pulse, count=max(pulse.count - 9 * i, 0))
             for i in range(cfg.m_tracks)))

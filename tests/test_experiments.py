@@ -140,6 +140,17 @@ class TestSpecValidation:
             "overrides": {"current_threshold": 171}}}, "calibration.overrides"),
         ("detection_run", {"calibration": {
             "overrides": {"current_threshold": 200}}}, "calibration.overrides"),
+        ("detection_run", {"weight": float("nan")}, "detection_run.weight"),
+        ("nucleation_sweep", {"duration": float("inf")},
+         "nucleation_sweep.duration"),
+        ("detection_run", {"sigma_meas": float("nan"), "noise": True},
+         "detection_run.sigma_meas"),
+        ("fig4_twotrack", {"sigma_meas": float("inf"), "noise": True},
+         "fig4_twotrack.sigma_meas"),
+        ("detection_run", {"calibration": {
+            "overrides": {"hall_angle": float("inf")}}},
+         "calibration.overrides"),
+        ("detection_run", {"sigma_meas": 10**400}, "detection_run.sigma_meas"),
     ])
     def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
                                           params, path):

@@ -597,6 +597,16 @@ class TestStreamSums:
              p_bar=0.4, size=1000, seed=2)
     @example(entries=[(0, 1.0, 7), (1, 2.3, 60), (1, 0.0, 0)], p_bar=0.4,
              size=MC_BLOCK + 1, seed=3)
+    # A run of equal weights across group boundaries, one law for all.
+    @example(entries=[(0, 1.3, 7), (0, 1.3, 40), (1, 1.3, 2), (2, 1.3, 9),
+                      (2, 1.3, 300), (2, 0.7, 5), (4, 0.7, 1)], p_bar=0.4,
+             size=1, seed=4)
+    # Zero weights inside a run of equal weights, and a run of them.
+    @example(entries=[(0, 1.3, 7), (0, 0.0, 5), (0, 0.0, 3), (0, 1.3, 9),
+                      (1, 0.0, 4), (1, 1.3, 2)], p_bar=0.4, size=1, seed=5)
+    # A PULSE_BLOCK boundary inside a run of equal weights of one group.
+    @example(entries=[(0, 1.6, MC_BLOCK - 1)] * 10 + [(1, 1.6, 5)],
+             p_bar=0.4, size=1, seed=6)
     def test_equals_one_call_per_group(self, entries, p_bar, size, seed):
         entries = sorted(entries, key=lambda e: e[0])
         group = np.array([e[0] for e in entries], dtype=np.int64)
