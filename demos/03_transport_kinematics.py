@@ -15,18 +15,18 @@ import numpy as np
 
 from skysum import (
     DetectionZone,
-    ProtocolSpec,
     PulseTrain,
+    SequencedTrack,
     SkyrmionPopulation,
     StochasticModel,
-    TrackDevice,
     advance,
     field_for_weight,
-    measure_protocol,
     notch_position,
     paper2024,
     reverse_erase,
+    run_phases,
     stream,
+    synaptic_weight,
     trajectory,
 )
 
@@ -63,12 +63,15 @@ print("\n== crowding and field reset: a capacity-10 detection run ==")
 # At 150 GA/m^2 a skyrmion stays in the box for 40 pulses, so one per
 # pulse fills it; the youngest are crowded out downstream.
 small = DetectionZone(center_x=8.0, center_y=3.0, side=6.0, capacity=10)
-device = TrackDevice(cal=cal, zone=small,
-                     field=field_for_weight(cal, 1.0, 50.0, 150.0),
-                     pulse=PulseTrain(1, 150.0, 50.0),
-                     stochastic=StochasticModel(0.0))
-trace = measure_protocol(device, ProtocolSpec.standard(baseline=2, post=2),
-                         rng=stream(3, "crowd"))
+field = field_for_weight(cal, 1.0, 50.0, 150.0)
+rng = stream(3, "crowd")
+track = SequencedTrack(zone=small, notch=notch_position(cal),
+                       weight=synaptic_weight(cal, field, 50.0, 150.0),
+                       pulse=PulseTrain(1, 150.0, 50.0),
+                       stochastic=StochasticModel(0.0), rng=rng)
+plan = (("baseline", 2, None), ("pulsing", 20, 0), ("reset", 1, None),
+        ("post", 2, None))
+trace = run_phases(plan, [track], cal, meas_rng=rng)
 for phase, block in trace.phase_blocks():
     print(f"  {phase:>8}: N_detec {trace.n_detec[block].tolist()}")
 print(f"  20 arrivals, capacity {small.capacity}: "

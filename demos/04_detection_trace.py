@@ -9,30 +9,33 @@ step and the full-reversal signal together yield the skyrmion diameter.
 
 from skysum import (
     DetectionZone,
-    ProtocolSpec,
     PulseTrain,
+    SequencedTrack,
     StochasticModel,
-    TrackDevice,
     drift_correct,
     estimate_diameter,
     field_for_weight,
     full_reversal_voltage,
+    notch_position,
     paper2024,
+    run_phases,
     stream,
+    synaptic_weight,
 )
 
 cal = paper2024()
 zone = DetectionZone(center_x=8.0, center_y=3.0, side=6.0, capacity=81)
 field = field_for_weight(cal, 1.0, duration=50.0, current_density=150.0)
-device = TrackDevice(cal=cal, zone=zone, field=field,
-                     pulse=PulseTrain(1, 150.0, 50.0),
-                     stochastic=StochasticModel(0.4))
-
-from skysum import measure_protocol  # noqa: E402
-
-trace = measure_protocol(device, ProtocolSpec.standard(),
-                         rng=stream(5, "demo4"), noise=True,
-                         sigma_meas=25.0, drift_rate=0.8)
+# One stream draws every pulse's births, then the measurement noise.
+rng = stream(5, "demo4")
+track = SequencedTrack(zone=zone, notch=notch_position(cal),
+                       weight=synaptic_weight(cal, field, 50.0, 150.0),
+                       pulse=PulseTrain(1, 150.0, 50.0),
+                       stochastic=StochasticModel(0.4), rng=rng)
+plan = (("baseline", 10, None), ("pulsing", 20, 0), ("reset", 1, None),
+        ("post", 10, None))
+trace = run_phases(plan, [track], cal, meas_rng=rng, noise=True,
+                   sigma_meas=25.0, drift_rate=0.8)
 corrected = drift_correct(trace)
 
 print("== drift-corrected Hall trace (one row per measurement) ==")

@@ -13,7 +13,7 @@ from skysum import (
     PulseTrain,
     StochasticModel,
     build_crossbar,
-    check_current_uniformity,
+    current_uniformity,
     field_for_weight,
     paper2024_fig4,
     run_fig4_protocol,
@@ -50,5 +50,6 @@ run((50.0, 30.0), "track 2 at 30 ns: weight ~ 0, sum unchanged")
 print("\n== read circuit ==")
 print(f"  track resistances {config.track_resistances} Ohm with "
       f"{config.series_resistance:.0f} Ohm series resistors")
-print(f"  worst read-current imbalance: "
-      f"{check_current_uniformity(config):.2e} (budget 1e-3)")
+imbalance = current_uniformity(config.track_resistances,
+                               config.series_resistance)
+print(f"  worst read-current imbalance: {imbalance:.2e} (budget 1e-3)")

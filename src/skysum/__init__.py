@@ -22,7 +22,6 @@ from .crossbar import (
     InputVector,
     WeightedSumResult,
     build_crossbar,
-    check_current_uniformity,
     current_uniformity,
     expected_sums,
     monte_carlo_column_counts,
@@ -77,16 +76,15 @@ from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
     MeasurementTrace,
     MtjConfig,
-    ProtocolSpec,
-    TrackDevice,
+    SequencedTrack,
     drift_correct,
     estimate_diameter,
     full_reversal_voltage,
     hall_voltage,
-    measure_protocol,
     mtj_activation,
     mtj_coverage,
     mtj_voltage_from_coverage,
+    run_phases,
 )
 from .rng import stream
 from .transport import (

@@ -328,11 +328,6 @@ def current_uniformity(track_resistances, series_resistance: float) -> float:
     return float(np.max(np.abs(currents / currents.mean() - 1.0)))
 
 
-def check_current_uniformity(config: CrossbarConfig) -> float:
-    return current_uniformity(config.track_resistances,
-                              config.series_resistance)
-
-
 def run_fig4_protocol(config: CrossbarConfig, per_track_pulse_specs,
                       cal: DeviceCalibration, stochastic: StochasticModel,
                       seed: int = 0, noise: bool = False,

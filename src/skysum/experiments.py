@@ -34,11 +34,7 @@ import yaml
 from . import __version__
 from .analysis import ENERGY_PRESETS, EnergyModel, pareto_curve
 from .config import ExperimentSpec, Param, with_dotted
-from .crossbar import (
-    build_crossbar,
-    check_current_uniformity,
-    run_fig4_protocol,
-)
+from .crossbar import build_crossbar, current_uniformity, run_fig4_protocol
 from .device import (
     DeviceCalibration,
     PulseTrain,
@@ -62,13 +58,17 @@ from .nucleation import (
 from .netmap import infer, quantize
 from .readout import (
     DEFAULT_SIGMA_MEAS_NV,
-    ProtocolSpec,
-    TrackDevice,
+    SequencedTrack,
     drift_correct,
-    measure_protocol,
+    run_phases,
 )
 from .rng import stream, streams
-from .transport import DetectionZone, zone_within_track
+from .transport import (
+    DetectionZone,
+    default_capacity,
+    notch_position,
+    zone_within_track,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,26 @@ def _check_pulse(cal: DeviceCalibration, protocol: str, weight: float,
         raise ValidationError(f"{protocol}.weight", str(exc))
 
 
+def _check_noise(cal: DeviceCalibration, protocol: str, params: dict,
+                 most: int) -> None:
+    """With noise on, ``hall_voltage``'s variance must be a finite float at
+    ``most`` skyrmions, the most the run's zones can hold."""
+    if not params["noise"]:
+        return
+    var = 0.0
+    for path, count, std in (
+            ("calibration.overrides.per_skyrmion_voltage_std", most,
+             cal.per_skyrmion_voltage_std),
+            (f"{protocol}.sigma_meas", 1, params["sigma_meas"])):
+        try:
+            var += count * std**2
+        except OverflowError:
+            var = math.inf
+        if not math.isfinite(var):
+            raise ValidationError(path, f"the Hall-voltage variance at {most} "
+                                        "skyrmions is not a finite float")
+
+
 _P_BAR = Param("float", 0.4, minimum=0.0, maximum=1.0)
 _FIELD_GRID = [20.0 + 0.5 * k for k in range(13)]  # mT
 
@@ -296,7 +316,7 @@ DETECTION_RUN = {
                       positive=True),
     "p_bar": _P_BAR._replace(default=0.0),
     "noise": Param("bool", False),
-    "sigma_meas": Param("float", DEFAULT_SIGMA_MEAS_NV),
+    "sigma_meas": Param("float", DEFAULT_SIGMA_MEAS_NV, minimum=0.0),
     "drift_rate": Param("float", 0.0),
     "zone": {
         "center_x": Param("float", 8.0),
@@ -313,6 +333,7 @@ def _check_detection_run(cal: DeviceCalibration, params: dict) -> None:
                               "must lie within the track")
     _check_pulse(cal, "detection_run", params["weight"], params["duration"],
                  params["current_density"])
+    _check_noise(cal, "detection_run", params, params["zone"]["capacity"])
 
 
 def run_detection_run(cal: DeviceCalibration, seed: int, outdir: Path, *,
@@ -322,16 +343,17 @@ def run_detection_run(cal: DeviceCalibration, seed: int, outdir: Path, *,
     """Single-track detection sequence: baseline, pulse-and-measure, field
     reset, post-reset samples."""
     field = field_for_weight(cal, weight, duration, current_density)
-    device = TrackDevice(
-        cal=cal, zone=DetectionZone(**zone), field=field,
+    # The weight round-trips through the field, as the summary reports it.
+    weight = synaptic_weight(cal, field, duration, current_density)
+    rng = stream(seed, "detection")
+    track = SequencedTrack(
+        zone=DetectionZone(**zone), notch=notch_position(cal), weight=weight,
         pulse=PulseTrain(1, current_density, duration),
-        stochastic=StochasticModel(p_bar),
-    )
-    protocol = ProtocolSpec.standard(baseline=baseline, pulses=pulses,
-                                     reset=reset, post=post)
-    trace = measure_protocol(device, protocol, rng=stream(seed, "detection"),
-                             noise=noise, sigma_meas=sigma_meas,
-                             drift_rate=drift_rate)
+        stochastic=StochasticModel(p_bar), rng=rng)
+    plan = (("baseline", baseline, None), ("pulsing", pulses, 0),
+            ("reset", reset, None), ("post", post, None))
+    trace = run_phases(plan, [track], cal, meas_rng=rng, noise=noise,
+                       sigma_meas=sigma_meas, drift_rate=drift_rate)
     corrected = drift_correct(trace)
 
     write_csv(outdir / "trace.csv",
@@ -342,7 +364,7 @@ def run_detection_run(cal: DeviceCalibration, seed: int, outdir: Path, *,
     pulsing = corrected.mask("pulsing")
     post_mask = corrected.mask("post")
     return {
-        "weight": device.weight,
+        "weight": weight,
         "field_mT": field.h_z,
         "final_pulsing_delta_v_nV":
             float(corrected.delta_v[pulsing][-1]) if pulsing.any() else 0.0,
@@ -361,7 +383,7 @@ FIG4_TWOTRACK = {
     "weight": Param("float", 1.0),
     "p_bar": _P_BAR._replace(default=0.0),
     "noise": Param("bool", True),
-    "sigma_meas": Param("float", DEFAULT_SIGMA_MEAS_NV),
+    "sigma_meas": Param("float", DEFAULT_SIGMA_MEAS_NV, minimum=0.0),
     "baseline": Param("int", 20, minimum=0),
     "hold": Param("int", 20, minimum=0),
     "post": Param("int", 10, minimum=0),
@@ -374,6 +396,9 @@ def _check_fig4_twotrack(cal: DeviceCalibration, params: dict) -> None:
                               "expected two numbers")
     _check_pulse(cal, "fig4_twotrack", params["weight"],
                  params["durations"][0], params["current_density"])
+    # build_crossbar gives both zones the default capacity.
+    most = 2 * default_capacity(DetectionZone.side, cal.skyrmion_diameter)
+    _check_noise(cal, "fig4_twotrack", params, most)
 
 
 def run_fig4_twotrack(cal: DeviceCalibration, seed: int, outdir: Path, *,
@@ -411,7 +436,8 @@ def run_fig4_twotrack(cal: DeviceCalibration, seed: int, outdir: Path, *,
         "plateau_ratio": plateau2 / plateau1 if plateau1 else 0.0,
         "post_mean_nV":
             float(trace.delta_v[post_mask].mean()) if post_mask.any() else 0.0,
-        "current_uniformity": check_current_uniformity(config),
+        "current_uniformity": current_uniformity(config.track_resistances,
+                                                 config.series_resistance),
     }
 
 

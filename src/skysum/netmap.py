@@ -136,17 +136,17 @@ def _readout(counts: np.ndarray, readout: str, scale: float,
 def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
           readout: str = IDENTITY, cal: DeviceCalibration | None = None,
           stochastic: StochasticModel | None = None, seed: int = 0,
-          trials: int = 1, capacity: int | None = None) -> np.ndarray:
+          trials: int = 1) -> np.ndarray:
     """Run an input of whole pulse counts through the mapped layer.
 
     Expected mode evaluates f(sum w+ x) - f(sum w- x) per differential
     pair; with the identity readout this is exactly the quantised
     matrix-vector product.  Stochastic mode draws the column counts with
     ``monte_carlo_column_counts``: the crossbar's window sampler under
-    ideal transport (every nucleated skyrmion reaches its zone, whose
-    ``capacity`` is the one crowding rule; None is a capacity that no count
-    reaches), one random stream per track.  It returns one row per trial
-    (shape (trials, L); a single trial returns shape (L,)).
+    ideal transport (every nucleated skyrmion reaches its zone, at a
+    capacity that no count reaches), one random stream per track.  It
+    returns one row per trial (shape (trials, L); a single trial returns
+    shape (L,)).
     """
     x = np.asarray(input_vector)
     m, l = layer.shape
@@ -173,9 +173,9 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
     # Differential pairs as a 2L-column crossbar.  Ideal transport reads
     # no zone geometry, so every zone may sit on the same site.
     weights = np.concatenate([layer.w_pos, layer.w_neg], axis=1)
-    # None is unclamped: a capacity that no int64 count reaches.
-    config = build_crossbar(cal, weights, zone_pitch=0.0, capacity=(
-        np.iinfo(np.int64).max if capacity is None else capacity))
+    # Unclamped: a capacity that no int64 count reaches.
+    config = build_crossbar(cal, weights, zone_pitch=0.0,
+                            capacity=np.iinfo(np.int64).max)
     pulses = InputVector(tuple(
         PulseTrain(int(n), cal.current_ref, cal.duration_ref) for n in x))
     counts = monte_carlo_column_counts(config, pulses, stochastic,

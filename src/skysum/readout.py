@@ -14,15 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import DeviceCalibration, FieldSetting, PulseTrain, synaptic_weight
+from .device import DeviceCalibration, PulseTrain
 from .errors import InsufficientData, InvalidRatio, ProtocolError
 from .nucleation import StochasticModel, sample_pulse_sums
-from .transport import (
-    DetectionZone,
-    notch_position,
-    trajectory,
-    zone_within_track,
-)
+from .transport import DetectionZone, trajectory, zone_within_track
 
 #: Post-averaging measurement noise (nV), one std per recorded sample.
 #: Sits inside the 21..42 nV per-point scatter band of the two-track runs.
@@ -31,8 +26,6 @@ DEFAULT_SIGMA_MEAS_NV = 25.0
 #: Valid protocol phase tags, in canonical order.  'hold' marks stability
 #: samples taken between pulsing blocks of multi-track protocols.
 PHASES = ("baseline", "pulsing", "hold", "reset", "post")
-
-_SINGLE_TRACK_ORDER = ("baseline", "pulsing", "reset", "post")
 
 
 @dataclass(frozen=True)
@@ -107,65 +100,6 @@ def hall_voltage(n_detec, cal: DeviceCalibration, noise: bool = False,
 
 
 @dataclass(frozen=True)
-class ProtocolSpec:
-    """Phase plan for a single-track measurement run.
-
-    ``phases`` is a tuple of (name, count) pairs that must follow the
-    canonical order baseline -> pulsing -> reset -> post.  Counts are the
-    number of samples in the phase (for pulsing: one pulse before each
-    sample).
-    """
-
-    phases: tuple
-
-    def __post_init__(self):
-        pos = -1
-        for name, count in self.phases:
-            if name not in _SINGLE_TRACK_ORDER:
-                raise ProtocolError(f"unknown phase {name!r}")
-            p = _SINGLE_TRACK_ORDER.index(name)
-            if p <= pos:
-                raise ProtocolError(
-                    "phases must follow baseline -> pulsing -> reset -> post")
-            pos = p
-            if count < 0:
-                raise ProtocolError(f"phase {name!r} has negative count")
-
-    @classmethod
-    def standard(cls, baseline: int = 10, pulses: int = 20, reset: int = 1,
-                 post: int = 10) -> "ProtocolSpec":
-        """The building-block sequence: baseline, pulse-and-measure, field
-        reset, post-reset samples."""
-        return cls((("baseline", baseline), ("pulsing", pulses),
-                    ("reset", reset), ("post", post)))
-
-
-@dataclass
-class TrackDevice:
-    """One synaptic track wired to its detection zone.
-
-    Groups the calibration, the programmed operating point (field plus the
-    pulse template) and the stochastic model.
-    """
-
-    cal: DeviceCalibration
-    zone: DetectionZone
-    field: FieldSetting
-    pulse: PulseTrain
-    stochastic: StochasticModel
-
-    def __post_init__(self):
-        if not zone_within_track(self.zone, self.cal):
-            raise ValueError("detection zone must lie within the track")
-
-    @property
-    def weight(self) -> float:
-        """Skyrmions per pulse at the programmed operating point."""
-        return synaptic_weight(self.cal, self.field, self.pulse.duration,
-                               self.pulse.current_density)
-
-
-@dataclass(frozen=True)
 class SequencedTrack:
     """One track as the phase sequencer drives it.
 
@@ -202,7 +136,20 @@ def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
     skyrmions past the zone, never to return, so they leave their cohort.
     The births of all of a track's pulses are drawn from its ``rng``
     before the first sample, one track after another, as one-pulse totals.
+
+    Before any draw, a plan with an unknown phase, a negative sample count
+    or a pulsing step whose track is not in ``tracks`` raises
+    ``ProtocolError``, and a zone outside its track raises ``ValueError``.
     """
+    for phase, samples, t in plan:
+        if phase not in PHASES:
+            raise ProtocolError(f"unknown phase {phase!r}")
+        if samples < 0:
+            raise ProtocolError(f"phase {phase!r} has negative count")
+        if phase == "pulsing" and t not in range(len(tracks)):
+            raise ProtocolError(f"pulsing step on no track: {t!r}")
+    if not all(zone_within_track(track.zone, cal) for track in tracks):
+        raise ValueError("detection zone must lie within the track")
     inside, births, cohorts = [], [], []
     for t, track in enumerate(tracks):
         n = sum(s for phase, s, u in plan if phase == "pulsing" and u == t)
@@ -254,27 +201,6 @@ def run_phases(plan, tracks: list[SequencedTrack], cal: DeviceCalibration,
         delta_v=np.asarray(volts, dtype=float),
         n_detec=np.asarray(counts, dtype=np.int64),
     )
-
-
-def measure_protocol(device: TrackDevice, protocol: ProtocolSpec,
-                     rng: np.random.Generator,
-                     noise: bool = False,
-                     sigma_meas: float = DEFAULT_SIGMA_MEAS_NV,
-                     drift_rate: float = 0.0) -> MeasurementTrace:
-    """Run a phase plan on one track and record the trace.
-
-    The pulsing phase interleaves one pulse (nucleation plus transport) with
-    one voltage sample; the reset phase erases all skyrmions first.  ``rng``
-    supplies the nucleation draws of every pulse first, then the
-    measurement noise.
-    """
-    track = SequencedTrack(
-        zone=device.zone, notch=notch_position(device.cal),
-        weight=device.weight,
-        pulse=device.pulse, stochastic=device.stochastic, rng=rng)
-    return run_phases([(name, count, 0) for name, count in protocol.phases],
-                      [track], device.cal, meas_rng=rng, noise=noise,
-                      sigma_meas=sigma_meas, drift_rate=drift_rate)
 
 
 def drift_correct(trace: MeasurementTrace) -> MeasurementTrace:

@@ -143,10 +143,9 @@ def zone_within_track(zone: DetectionZone, cal: DeviceCalibration) -> bool:
             and y0 >= 0 and y1 <= cal.track_width)
 
 
-def notch_position(cal: DeviceCalibration,
-                   x: float = DEFAULT_NOTCH_X_UM) -> tuple[float, float]:
+def notch_position(cal: DeviceCalibration) -> tuple[float, float]:
     """Coordinates where new skyrmions enter the track."""
-    return (x, cal.notch_y)
+    return (DEFAULT_NOTCH_X_UM, cal.notch_y)
 
 
 def advance(pop: SkyrmionPopulation, pulse: PulseTrain,

@@ -13,28 +13,28 @@ import pytest
 from skysum import (
     DetectionZone,
     MtjConfig,
-    ProtocolSpec,
     PulseTrain,
+    SequencedTrack,
     SkyrmionPopulation,
     StochasticModel,
-    TrackDevice,
     advance,
     analytic_sigma,
     build_crossbar,
-    check_current_uniformity,
+    current_uniformity,
     estimate_diameter,
     expected_cumulative,
     field_for_weight,
     fit_weight,
     full_reversal_voltage,
-    measure_protocol,
     monte_carlo_sigma,
     monte_carlo_sum_relative_std,
     mtj_voltage_from_coverage,
+    notch_position,
     paper2024,
     paper2024_fig4,
     reverse_erase,
     run_fig4_protocol,
+    run_phases,
     simulate_cumulative,
     stream,
     sum_energy,
@@ -139,20 +139,25 @@ def test_criterion_04_sqrt_m_law():
     report(4, f"sqrt(M) law: {got:.5f} vs {want:.5f}", ok)
 
 
-def _detection_device(cal, p_bar=0.0):
+def _detection_run(cal, rng, **kwargs):
+    """Baseline, 20 pulse-and-measure steps, field reset and post-reset
+    samples on a unit-weight track; ``rng`` draws births, then noise."""
     zone = DetectionZone(center_x=8.0, center_y=3.0, side=6.0, capacity=81)
     field = field_for_weight(cal, 1.0, 50.0, 150.0)
-    return TrackDevice(cal=cal, zone=zone, field=field,
-                       pulse=PulseTrain(1, 150.0, 50.0),
-                       stochastic=StochasticModel(p_bar))
+    track = SequencedTrack(zone=zone, notch=notch_position(cal),
+                           weight=synaptic_weight(cal, field, 50.0, 150.0),
+                           pulse=PulseTrain(1, 150.0, 50.0),
+                           stochastic=StochasticModel(0.0), rng=rng)
+    plan = (("baseline", 10, None), ("pulsing", 20, 0), ("reset", 1, None),
+            ("post", 10, None))
+    return run_phases(plan, [track], cal, meas_rng=rng, **kwargs)
 
 
 def test_criterion_05_detection_chain():
     """20 pulses x 22 nV = 440 nV exactly; noisy post-reset baseline within
     75 nV in >= 99% of seeded runs."""
     cal = paper2024()
-    trace = measure_protocol(_detection_device(cal), ProtocolSpec.standard(),
-                             rng=stream(0, "acc5"))
+    trace = _detection_run(cal, stream(0, "acc5"))
     pulsing = trace.mask("pulsing")
     exact_ok = trace.delta_v[pulsing][-1] == 440.0 \
         and trace.n_detec[pulsing][-1] == 20
@@ -160,10 +165,8 @@ def test_criterion_05_detection_chain():
     hits = 0
     runs = 1000
     for s in range(runs):
-        noisy = measure_protocol(_detection_device(cal),
-                                 ProtocolSpec.standard(),
-                                 rng=stream(s, "acc5-noise"), noise=True,
-                                 sigma_meas=25.0)
+        noisy = _detection_run(cal, stream(s, "acc5-noise"), noise=True,
+                               sigma_meas=25.0)
         post = noisy.mask("post")
         if abs(float(noisy.delta_v[post].mean())) <= 75.0:
             hits += 1
@@ -274,7 +277,8 @@ def test_criterion_10_circuit_uniformity():
     0.1% read-current budget."""
     cal = paper2024_fig4()
     config = build_crossbar(cal, [[1.0], [1.0]])
-    got = check_current_uniformity(config)
+    got = current_uniformity(config.track_resistances,
+                             config.series_resistance)
     ok = got < 0.001
     report(10, f"current uniformity {got:.2e} < 1e-3 "
                f"(130/120 Ohm, 12 kOhm series)", ok)

@@ -12,7 +12,6 @@ from skysum import (
     StochasticModel,
     analytic_sigma,
     build_crossbar,
-    check_current_uniformity,
     current_uniformity,
     expected_sums,
     hall_voltage,
@@ -636,7 +635,8 @@ class TestUniformity:
 
     def test_paper_circuit(self, cal4):
         cfg = two_track(cal4)
-        got = check_current_uniformity(cfg)
+        got = current_uniformity(cfg.track_resistances,
+                                 cfg.series_resistance)
         assert got == pytest.approx(2.073e-4, rel=1e-3)
         assert got < 1e-3
 

@@ -151,6 +151,14 @@ class TestSpecValidation:
             "overrides": {"hall_angle": float("inf")}}},
          "calibration.overrides"),
         ("detection_run", {"sigma_meas": 10**400}, "detection_run.sigma_meas"),
+        # Finite values whose Hall-voltage variance overflows, and a
+        # negative std.
+        ("fig4_twotrack", {"sigma_meas": 1.0e+300, "noise": True},
+         "fig4_twotrack.sigma_meas"),
+        ("detection_run", {"noise": True, "calibration": {
+            "overrides": {"per_skyrmion_voltage_std": 1.0e+300}}},
+         "calibration.overrides.per_skyrmion_voltage_std"),
+        ("detection_run", {"sigma_meas": -25}, "detection_run.sigma_meas"),
     ])
     def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
                                           params, path):

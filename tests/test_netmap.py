@@ -8,11 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from skysum import (
+    InputVector,
     OutOfRange,
+    PulseTrain,
     StochasticModel,
     analytic_sigma,
+    build_crossbar,
     field_for_weight,
     infer,
+    monte_carlo_column_counts,
     paper2024,
     pulse_distribution,
     quantize,
@@ -159,15 +163,6 @@ class TestInfer:
             infer(layer, [1, 1], mode="stochastic",
                   stochastic=StochasticModel(0.4), trials=0)
 
-    def test_stochastic_capacity(self):
-        # At p_bar = 0 the identity layer nucleates 3.42 sk/pulse, so 10
-        # pulses make 34 or 35 skyrmions and a capacity of 20 binds.
-        layer = quantize(np.eye(2), states=15)
-        out = infer(layer, [10, 0], mode="stochastic",
-                    stochastic=StochasticModel(0.0), trials=5, capacity=20)
-        assert np.all(out[:, 0] == 20 * layer.scale)
-        assert np.all(out[:, 1] == 0)
-
     def test_stochastic_without_capacity_ignores_zone_size(self, cal):
         # A 3 um skyrmion leaves a 6 um zone no room at 3-diameter
         # spacing; with capacity off the zone size must not matter.
@@ -180,24 +175,32 @@ class TestInfer:
         assert np.all(out / layer.scale > [5.5, 2.5])
 
     def test_no_capacity_draws_as_the_largest_reachable_one(self, cal):
-        # capacity=None is a capacity that no count reaches, so it gives
-        # the bytes of the largest total any crossing can reach: its
-        # pulses times its weight's top outcome.  A capacity below that
-        # binds on this layer.
+        # Stochastic inference clamps at a capacity that no count reaches,
+        # so it gives the bytes of the differential-pair crossbar at the
+        # largest total any crossing can reach: its pulses times its
+        # weight's top outcome.  A capacity below that binds on this layer.
         layer = quantize(stream(3, "layer").uniform(-1, 1, (8, 4)), cal=cal)
         x = stream(3, "input").integers(0, 41, 8)
         model = StochasticModel(0.4)
-        values, probs = pulse_distribution(
-            np.hstack([layer.w_pos, layer.w_neg]), model)
+        weights = np.hstack([layer.w_pos, layer.w_neg])
+        values, probs = pulse_distribution(weights, model)
         top = np.where(probs > 0, values, 0).max(axis=-1)
         reach = int((x[:, None] * top).max())
+        pulses = InputVector(tuple(
+            PulseTrain(int(n), cal.current_ref, cal.duration_ref) for n in x))
         for trials in (1, 200):
-            run = [infer(layer, x, mode="stochastic", cal=cal,
-                         stochastic=model, seed=4, trials=trials,
-                         capacity=capacity)
-                   for capacity in (None, reach, reach // 2)]
-            assert run[0].tobytes() == run[1].tobytes()
-            assert run[0].tobytes() != run[2].tobytes()
+            got = infer(layer, x, mode="stochastic", cal=cal,
+                        stochastic=model, seed=4, trials=trials)
+            for capacity, same in ((reach, True), (reach // 2, False)):
+                config = build_crossbar(cal, weights, zone_pitch=0.0,
+                                        capacity=capacity)
+                counts = monte_carlo_column_counts(config, pulses, model,
+                                                   trials, 4).astype(float)
+                want = (counts[:, :4] * layer.scale
+                        - counts[:, 4:] * layer.scale)
+                if trials == 1:
+                    want = want[0]
+                assert (got.tobytes() == want.tobytes()) == same
 
     def test_mac_error_bounded_by_sigma_law(self):
         # Relative spread of the stochastic MAC stays within the analytic

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,42 +6,55 @@ import pytest
 
 from skysum import (
     DetectionZone,
-    FieldSetting,
     InsufficientData,
     InvalidRatio,
     MeasurementTrace,
     MtjConfig,
     ProtocolError,
-    ProtocolSpec,
     PulseTrain,
+    SequencedTrack,
     StochasticModel,
-    TrackDevice,
     drift_correct,
     estimate_diameter,
     field_for_weight,
     full_reversal_voltage,
     hall_voltage,
-    measure_protocol,
     mtj_activation,
     mtj_coverage,
     mtj_voltage_from_coverage,
+    notch_position,
     paper2024,
+    run_phases,
     sample_pulse_sums,
     stream,
+    synaptic_weight,
 )
 from skysum.nucleation import _lookup, _sum_cdf
-from skysum.readout import SequencedTrack, run_phases
 from skysum.transport import SkyrmionPopulation, advance
 
 from laws import UNBOUNDED, apply_capacity, count_in_zone, field_reset
 
 
-def unit_weight_device(cal, zone, p_bar=0.0):
+def unit_weight_track(cal, zone, rng):
     # w = 1 at J = 150 GA/m^2 (slow transport keeps everything in the box).
     field = field_for_weight(cal, 1.0, 50.0, 150.0)
-    return TrackDevice(cal=cal, zone=zone, field=field,
-                       pulse=PulseTrain(1, 150.0, 50.0),
-                       stochastic=StochasticModel(p_bar))
+    return SequencedTrack(zone=zone, notch=notch_position(cal),
+                          weight=synaptic_weight(cal, field, 50.0, 150.0),
+                          pulse=PulseTrain(1, 150.0, 50.0),
+                          stochastic=StochasticModel(0.0), rng=rng)
+
+
+def detection_plan(pulses=20):
+    """Baseline, pulse-and-measure, field reset, post-reset samples."""
+    return (("baseline", 10, None), ("pulsing", pulses, 0),
+            ("reset", 1, None), ("post", 10, None))
+
+
+def measure(cal, zone, rng, plan=detection_plan(), **kwargs):
+    """A detection plan on a unit-weight track whose ``rng`` draws the
+    births and then the measurement noise."""
+    return run_phases(plan, [unit_weight_track(cal, zone, rng)], cal,
+                      meas_rng=rng, **kwargs)
 
 
 class TestHallVoltage:
@@ -89,10 +103,13 @@ class TestHallVoltage:
 
 
 class TestMeasureProtocol:
+    """The single-track detection plan on ``run_phases``."""
+
     def test_detection_sequence_composition(self, cal, zone):
-        device = unit_weight_device(cal, zone)
-        trace = measure_protocol(device, ProtocolSpec.standard(),
-                                 rng=stream(1, "p"))
+        track = unit_weight_track(cal, zone, stream(1, "p"))
+        assert track.weight == pytest.approx(1.0, rel=1e-12)
+        trace = run_phases(detection_plan(), [track], cal,
+                           meas_rng=track.rng)
         pulsing = trace.mask("pulsing")
         assert trace.delta_v[pulsing][-1] == 440.0
         assert trace.n_detec[pulsing][-1] == 20
@@ -100,24 +117,14 @@ class TestMeasureProtocol:
         assert list(trace.n_detec[pulsing]) == list(range(1, 21))
 
     def test_reset_returns_to_zero(self, cal, zone):
-        device = unit_weight_device(cal, zone)
-        trace = measure_protocol(device, ProtocolSpec.standard(),
-                                 rng=stream(2, "p"))
+        trace = measure(cal, zone, stream(2, "p"))
         post = trace.mask("post", "reset")
         assert np.all(trace.delta_v[post] == 0.0)
         assert np.all(trace.n_detec[post] == 0)
 
     def test_zero_pulses_flat(self, cal, zone):
-        device = unit_weight_device(cal, zone)
-        spec = ProtocolSpec.standard(pulses=0)
-        trace = measure_protocol(device, spec, rng=stream(3, "p"))
+        trace = measure(cal, zone, stream(3, "p"), detection_plan(pulses=0))
         assert np.all(trace.delta_v == 0.0)
-
-    def test_malformed_order(self):
-        with pytest.raises(ProtocolError):
-            ProtocolSpec((("pulsing", 5), ("baseline", 10)))
-        with pytest.raises(ProtocolError):
-            ProtocolSpec((("baseline", 10), ("afterparty", 1)))
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
@@ -184,6 +191,9 @@ REPLAY_CASES = {
 }
 
 
+ONE_TRACK = [(171.0, 2.3, 0.4, 8.0, 81)]
+
+
 def replay_tracks(seed, specs):
     return [SequencedTrack(
         zone=DetectionZone(center_x=cx, center_y=3.0, capacity=capacity),
@@ -207,7 +217,7 @@ class TestCohortSequencer:
         assert trace.delta_v.tolist() == ref_volts
 
     def test_shared_stream_matches_particle_replay(self):
-        # measure_protocol draws births and measurement noise from one
+        # A detection run draws births and measurement noise from one
         # stream: all births first, then the noise.
         cal = paper2024()
         specs, plan = REPLAY_CASES["mid-reset"]
@@ -239,10 +249,8 @@ class TestCohortSequencer:
 
 class TestDriftCorrect:
     def trace(self, cal, zone, drift, noise=False, sigma=0.0):
-        device = unit_weight_device(cal, zone)
-        return measure_protocol(device, ProtocolSpec.standard(),
-                                rng=stream(4, "d"), noise=noise,
-                                sigma_meas=sigma, drift_rate=drift)
+        return measure(cal, zone, stream(4, "d"), noise=noise,
+                       sigma_meas=sigma, drift_rate=drift)
 
     def test_drift_free_unchanged(self, cal, zone):
         trace = self.trace(cal, zone, 0.0)
@@ -370,14 +378,36 @@ class TestDiameter:
             estimate_diameter(-1.0, 20.0, zone)
 
 
-class TestTrackDevice:
-    def test_weight_property(self, cal, zone):
-        device = unit_weight_device(cal, zone)
-        assert device.weight == pytest.approx(1.0, rel=1e-12)
+class TestPlanChecks:
+    """``run_phases`` refuses a bad plan or track before any draw."""
 
-    def test_zone_must_fit(self, cal):
-        field = FieldSetting(24.0)
-        with pytest.raises(ValueError):
-            TrackDevice(cal=cal, zone=DetectionZone(2.0, 3.0), field=field,
-                        pulse=PulseTrain(1, 171.0, 50.0),
-                        stochastic=StochasticModel(0.0))
+    def refused(self, error, plan, specs, zone=None):
+        tracks = replay_tracks(6, specs)
+        if zone is not None:
+            tracks[0] = dataclasses.replace(tracks[0], zone=zone)
+        with pytest.raises(error):
+            run_phases(plan, tracks, paper2024(), meas_rng=stream(6, "meas"),
+                       noise=True)
+        for t, track in enumerate(tracks):
+            assert track.rng.random() == stream(6, "replay", t).random()
+
+    def test_unknown_phase(self):
+        self.refused(ProtocolError, [("baseline", 2, None), ("pulsing", 3, 0),
+                                     ("afterparty", 1, None)], ONE_TRACK)
+
+    def test_negative_count(self):
+        self.refused(ProtocolError, [("pulsing", 3, 0), ("post", -2, None)],
+                     ONE_TRACK)
+
+    def test_pulsing_without_track(self):
+        self.refused(ProtocolError, [("pulsing", 3, 0), ("pulsing", 3, None)],
+                     ONE_TRACK)
+
+    @pytest.mark.parametrize("t", [2, -1])
+    def test_pulsing_track_out_of_range(self, t):
+        self.refused(ProtocolError, [("pulsing", 3, 0), ("pulsing", 3, t)],
+                     ONE_TRACK * 2)
+
+    def test_zone_outside_track(self):
+        self.refused(ValueError, [("pulsing", 3, 0)], ONE_TRACK,
+                     zone=DetectionZone(2.0, 3.0))
