@@ -301,17 +301,23 @@ def monte_carlo_column_counts(config: CrossbarConfig, input_vector: InputVector,
     ``sample_stream_sums`` in column order from its track's stream.  Each
     entry's row of trials is clamped at its zone's capacity, the one
     crowding rule, and added to its column; zone geometry is not read.
+    The clamp is skipped when it cannot bind: when no entry's largest
+    total, ``(floor(w) + 2) * n`` for n pulses at weight w, exceeds its
+    capacity, as at a capacity that no int64 count reaches.
     """
     pulses = _pulse_counts(config, input_vector)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     track, column = np.nonzero((config.weights > 0) & (pulses > 0)[:, None])
+    weights, n = config.weights[track, column], pulses[track]
     capacity = _capacities(config)[track, column, None]
+    clamp = not ((np.floor(weights) + 2) * n <= capacity[:, 0]).all()
     totals = np.zeros((config.l_columns, trials), dtype=np.int64)
     for entries, counts in sample_stream_sums(
-            config.weights[track, column], stochastic, pulses[track], trials,
-            track, streams(seed, ("track",), 0, config.m_tracks)):
-        np.minimum(counts, capacity[entries], out=counts)
+            weights, stochastic, n, trials, track,
+            streams(seed, ("track",), 0, config.m_tracks)):
+        if clamp:
+            np.minimum(counts, capacity[entries], out=counts)
         for j, row in zip(column[entries].tolist(), counts):
             totals[j] += row
     return np.ascontiguousarray(totals.T)

@@ -185,10 +185,15 @@ def _check_pulse(cal: DeviceCalibration, protocol: str, weight: float,
         raise ValidationError(f"{protocol}.weight", str(exc))
 
 
-def _check_noise(cal: DeviceCalibration, protocol: str, params: dict,
-                 most: int) -> None:
-    """With noise on, ``hall_voltage``'s variance must be a finite float at
-    ``most`` skyrmions, the most the run's zones can hold."""
+def _check_hall_voltage(cal: DeviceCalibration, protocol: str,
+                        params: dict, most: int) -> None:
+    """At ``most`` skyrmions, the most the run's zones can hold,
+    ``hall_voltage``'s mean must be a finite float, and with noise on its
+    variance too."""
+    if not math.isfinite(most * cal.per_skyrmion_voltage_mean):
+        raise ValidationError(
+            "calibration.overrides.per_skyrmion_voltage_mean",
+            f"the Hall voltage at {most} skyrmions is not a finite float")
     if not params["noise"]:
         return
     var = 0.0
@@ -241,11 +246,21 @@ def _check_nucleation_sweep(cal: DeviceCalibration, params: dict) -> None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RangeWarning)
-            _sweep_weights(cal, **params)
+            weights = _sweep_weights(cal, **params)
     except StripeDomainRegime as exc:
         raise ValidationError(
             "nucleation_sweep."
             + ("values" if params["sweep"] == "field" else "field"), str(exc))
+    # A repeat's total after ``pulses`` pulses is at most
+    # (floor(w) + 2) * pulses, which must fit an int64.
+    pulses = params["pulses"]
+    for value, w in zip(params["values"], weights):
+        if not (w < 2.0**63 and (math.floor(w) + 2) * pulses
+                <= np.iinfo(np.int64).max):
+            raise ValidationError(
+                "nucleation_sweep.values",
+                f"the weight {w} at {value} gives {pulses}-pulse totals "
+                "that overflow an int64")
 
 
 def run_nucleation_sweep(cal: DeviceCalibration, seed: int, outdir: Path, *,
@@ -333,7 +348,18 @@ def _check_detection_run(cal: DeviceCalibration, params: dict) -> None:
                               "must lie within the track")
     _check_pulse(cal, "detection_run", params["weight"], params["duration"],
                  params["current_density"])
-    _check_noise(cal, "detection_run", params, params["zone"]["capacity"])
+    _check_hall_voltage(cal, "detection_run", params,
+                        params["zone"]["capacity"])
+    # run_phases adds drift_rate * i to sample i of 1..samples.
+    samples = sum(params[k] for k in ("baseline", "pulses", "reset", "post"))
+    try:
+        drift = params["drift_rate"] * samples
+    except OverflowError:
+        drift = math.inf
+    if not math.isfinite(drift):
+        raise ValidationError("detection_run.drift_rate",
+                              f"the drift over {samples} samples is not a "
+                              "finite float")
 
 
 def run_detection_run(cal: DeviceCalibration, seed: int, outdir: Path, *,
@@ -398,7 +424,7 @@ def _check_fig4_twotrack(cal: DeviceCalibration, params: dict) -> None:
                  params["durations"][0], params["current_density"])
     # build_crossbar gives both zones the default capacity.
     most = 2 * default_capacity(DetectionZone.side, cal.skyrmion_diameter)
-    _check_noise(cal, "fig4_twotrack", params, most)
+    _check_hall_voltage(cal, "fig4_twotrack", params, most)
 
 
 def run_fig4_twotrack(cal: DeviceCalibration, seed: int, outdir: Path, *,

@@ -77,12 +77,14 @@ def pulse_distribution(w, model: StochasticModel
     a -1/0/+1 deviation, clamped at zero per pulse.  Values may repeat
     where the clamp folds -1 onto 0.  At exactly zero weight every outcome
     is 0: the device is at its cutoff field and there is no attempt for
-    the thermal fluctuation to act on.
+    the thermal fluctuation to act on.  A weight must be finite, >= 0
+    and below 2**63, so that its largest outcome ``floor(w) + 2`` fits an
+    int64: the largest double below 2**63 is 2**63 - 1024.
     """
     w = np.asarray(w, dtype=float)
     lowest = w.min(initial=np.inf)
-    if not (lowest >= 0 and w.max(initial=0.0) < np.inf):
-        raise ValueError("weight must be finite and >= 0")
+    if not (lowest >= 0 and w.max(initial=0.0) < 2.0**63):
+        raise ValueError("weight must be finite, >= 0 and below 2**63")
     p_minus, p_plus = model.deviation_probabilities()
     p_stay = 1.0 - p_minus - p_plus
     base = np.floor(w)
@@ -226,12 +228,17 @@ def _lookup(tables: Sequence[tuple], u: np.ndarray) -> np.ndarray:
 
     The search is indexed (Chen & Asau, 1974): a uniform in bucket g of its
     row's guide lands at or after ``guide[g]``, and one test there settles
-    most.  The rows' cdfs and guides are joined end to end, the guides in
-    their own dtype, so each step is one call over every row.  The misses,
-    a few percent, take one searchsorted over the keys ``row + 1j * cdf``:
-    numpy orders complex numbers by real part, then imaginary part, so a
-    miss keyed ``row + 1j * u`` lands in its own row's cdf, which ends in
-    ``inf``.
+    most.  One table's misses take one searchsorted, which costs little
+    in a single cdf.  Over several tables each step is one call over every
+    row: the rows' cdfs are joined end to end and their guides joined as
+    ``intp``, each shifted by its row's start in the joined cdf, so a
+    uniform costs one guide ``take``.  A miss (``cdf[guide[g]] <= u``, 7 %
+    of the uniforms of a 15-state layer's laws) steps one entry forward,
+    always inside its row's cdf, which ends in ``inf``, and a second test
+    there settles most of the rest.  The few left (1 %) search the keys
+    ``row + 1j * cdf``: numpy orders complex numbers by real part, then
+    imaginary part, so a uniform keyed ``row + 1j * u`` lands in its own
+    row.
     """
     if len(tables) == 1:   # one table is searched without joining
         (offset, cdf, guide), = tables
@@ -246,20 +253,26 @@ def _lookup(tables: Sequence[tuple], u: np.ndarray) -> np.ndarray:
     buckets = np.fromiter(map(len, guides), np.intp, rows)
     starts = np.cumsum(lengths) - lengths
     cdf = np.concatenate(cdfs)
-    # One index array, updated in place: bucket, then cdf entry, then total.
+    guide = np.concatenate(guides, dtype=np.intp)
+    guide += np.repeat(starts, buckets)
+    # Bucket, then entry of the joined cdf, then total.
     idx = np.empty(u.shape, dtype=np.intp)
     np.multiply(u, buckets[:, None], out=idx, casting="unsafe")
     idx += (np.cumsum(buckets) - buckets)[:, None]
-    np.add(np.concatenate(guides).take(idx), starts[:, None], out=idx)
+    idx = guide.take(idx)
     miss = np.flatnonzero(cdf.take(idx) <= u)
-    shift = np.subtract(offsets, starts)
-    idx += shift[:, None]
     if miss.size:
-        row = miss // u.shape[1]
-        keys = _complex(np.repeat(np.arange(rows), lengths), cdf)
-        found = keys.searchsorted(_complex(row, u.reshape(-1)[miss]),
-                                  side="right")
-        idx.reshape(-1)[miss] = found + shift[row]
+        flat, missed = idx.reshape(-1), u.reshape(-1)[miss]
+        near = flat[miss]
+        near += 1
+        left = np.flatnonzero(cdf.take(near) <= missed)
+        if left.size:
+            keys = _complex(np.repeat(np.arange(rows), lengths), cdf)
+            near[left] = keys.searchsorted(
+                _complex(miss[left] // u.shape[1], missed[left]),
+                side="right")
+        flat[miss] = near
+    idx += np.subtract(offsets, starts)[:, None]
     return idx
 
 
@@ -344,9 +357,13 @@ def sample_stream_sums(w, model: StochasticModel, n_pulses, size: int,
     ``totals`` is their ``(len, size)`` int64 array.  A run of multinomial
     entries is yielded as it is drawn.  Table and per-pulse uniforms are
     held across generators and transformed together, by one ``_lookup``
-    once MC_BLOCK table uniforms (or one longer row) are waiting and one
-    ``_place`` once PULSE_BLOCK per-pulse uniforms are, so no temporary
-    outgrows about a block however many entries or generators there are.
+    once a chunk of ``2 * MC_BLOCK // size`` whole rows of table uniforms
+    (or one longer row) is waiting and one ``_place`` once PULSE_BLOCK
+    per-pulse uniforms are, so no temporary outgrows about a chunk or a
+    block however many entries or generators there are.  The chunk length
+    changes only how the uniforms are grouped, never which are drawn: two
+    blocks per lookup halve its fixed cost per uniform, while a chunk's
+    uniforms, indices and cdf values stay within 128 kB each.
 
     All but the draws is laid out first: the law, evaluated once per run
     of equal consecutive weights (a crossbar site's windows share one) and
@@ -396,7 +413,7 @@ def sample_stream_sums(w, model: StochasticModel, n_pulses, size: int,
     # that fits; per-pulse entries hold at most MC_BLOCK uniforms.  Each
     # kind's buffer holds a block, or all there is; ``held`` the open
     # block's first entry, entries and uniforms.
-    rows = max(1, MC_BLOCK // max(size, 1))
+    rows = max(1, 2 * MC_BLOCK // max(size, 1))
     full = rows * size, PULSE_BLOCK
     room = rows * size, PULSE_BLOCK + MC_BLOCK
     total = np.bincount(kinds, weights=uniforms, minlength=3)

@@ -615,6 +615,31 @@ class TestMonteCarlo:
                                              trials, seed=5)
             assert (got <= free).all() and (got < free).any()
 
+    @pytest.mark.parametrize("below", [0, 1], ids=["skipped", "taken"])
+    def test_clamp_only_where_a_count_can_pass_capacity(self, cal4,
+                                                         monkeypatch, below):
+        # Two pulses at w = 1.5 and 0.5 total at most (floor(w) + 2) * 2 =
+        # 6 and 4.  At capacity 6 no count can pass it and the clamp is
+        # skipped; at 5 it is taken, and binds on the trials where the
+        # first crossing totals 6.
+        cfg = build_crossbar(cal4, [[1.5, 0.5]], zone_start_x=1.0,
+                             zone_pitch=6.5, capacity=6 - below)
+        iv = InputVector((PulseTrain(2, J4, T4),))
+        model = StochasticModel(0.4)
+        clamps, minimum = [], np.minimum
+
+        def spy(*args, **kwargs):
+            clamps.append(args)
+            return minimum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "minimum", spy)
+        got = monte_carlo_column_counts(cfg, iv, model, 1000, seed=3)
+        monkeypatch.undo()
+        assert len(clamps) == below
+        assert got[:, 0].max() == 6 - below
+        np.testing.assert_array_equal(
+            got, window_column_counts(cfg, iv, model, 1000, seed=3))
+
     def test_input_length_must_match_tracks(self, cal4):
         cfg = two_track(cal4)
         iv = InputVector((PulseTrain(3, J4, T4),) * 3)

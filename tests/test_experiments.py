@@ -159,6 +159,18 @@ class TestSpecValidation:
             "overrides": {"per_skyrmion_voltage_std": 1.0e+300}}},
          "calibration.overrides.per_skyrmion_voltage_std"),
         ("detection_run", {"sigma_meas": -25}, "detection_run.sigma_meas"),
+        # Finite values whose weight, drift or mean voltage overflows
+        # downstream.
+        ("nucleation_sweep", {"current_density": 1.0e+12},
+         "nucleation_sweep.values"),
+        ("detection_run", {"drift_rate": 1.0e+308},
+         "detection_run.drift_rate"),
+        ("detection_run", {"calibration": {
+            "overrides": {"per_skyrmion_voltage_mean": 1.0e+307}}},
+         "calibration.overrides.per_skyrmion_voltage_mean"),
+        ("fig4_twotrack", {"noise": False, "calibration": {
+            "overrides": {"per_skyrmion_voltage_mean": 1.0e+307}}},
+         "calibration.overrides.per_skyrmion_voltage_mean"),
     ])
     def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
                                           params, path):

@@ -225,9 +225,10 @@ class TestInfer:
 
     def test_stochastic_memory_is_bounded(self, cal):
         # A 64 x 16 layer (a 64 x 32 crossbar) at 1000 trials: the counts
-        # are drawn a chunk of about MC_BLOCK uniforms at a time, so the
-        # peak (0.93 MB) is the (32, trials) counts of 256 kB, their
-        # transpose, the two float halves, the output and a few chunks.
+        # are drawn a chunk of 16 rows, about 2 * MC_BLOCK uniforms, at a
+        # time, so the peak (1.04 MB) is the (32, trials) column totals of
+        # 256 kB beside one chunk's temporaries of 128 kB each: its
+        # uniforms, bucket and table indices, cdf values and totals.
         layer = quantize(stream(1, "layer").uniform(-1, 1, (64, 16)),
                          cal=cal)
         x = stream(1, "input").integers(0, 41, 64)

@@ -235,13 +235,19 @@ class TestSumKernels:
     @example(laws=[(1.0, 0.2, 1000), (2.3, 1.0, 0), (0.5, 0.0, 7),
                    (1.0, 0.4, 1)], seed=1)
     @example(laws=[(4.0, 0.4, 60)], seed=2)
+    @example(laws=[(3.42 / 14, 0.4, 17), (3.42 * 9 / 14, 0.4, 40),
+                   (3.42, 0.4, 33), (1.0, 0.4, 2)], seed=3)
     def test_lookup_equals_searchsorted(self, laws, seed):
         # The guided lookup places every uniform where searchsorted does,
         # including 0, the largest double below 1, every finite cdf entry
         # and the double just below it.  A point mass has the one-entry
         # table [inf].  1000 pulses at w = 1, p_bar = 0.2 put 525 entries
         # in the first of 8192 buckets and 1948 in the last.  60 pulses at
-        # w = 4 give totals 180..360 from a one-byte guide.
+        # w = 4 give totals 180..360 from a one-byte guide.  Laws of a
+        # 15-state layer whose largest weight is 3.42, as stochastic
+        # inference draws them, hold in one fused call uniforms that land
+        # 0, 1 and 2 entries past their guide entry, and in the tails
+        # dozens.
         tables = [_sum_cdf(w, p_bar, n) for w, p_bar, n in laws]
         rows = []
         for _, cdf, _ in tables:
@@ -272,12 +278,17 @@ class TestSumKernels:
              seed=0)
     @example(laws=[(0.0, 0.4, 5), (1.0, 0.2, 1000), (0.5, 0.4, 128),
                    (1.5, 0.4, 85)], seed=1)
+    @example(laws=[(3.42 / 14, 0.4, 17), (3.42 * 9 / 14, 0.4, 40),
+                   (3.42, 0.4, 33), (1.0, 0.4, 2)], seed=2)
     def test_fused_lookup_equals_searchsorted(self, laws, seed):
         # One call over rows of different tables, one- and two-byte guides
         # mixed, up to the longest table below MC_BLOCK, places every
         # uniform where searchsorted in its own row's cdf does: at 0, the
         # largest double below 1, every cdf value and the double below it,
         # and every bucket edge g / B of its guide and the double below.
+        # The laws of a 15-state layer, as stochastic inference draws them,
+        # put uniforms 0, 1, 2 and dozens of entries past their guide
+        # entry in one call.
         tables = [_sum_cdf(w, p_bar, n) for w, p_bar, n in laws]
         rows = []
         for _, cdf, guide in tables:
@@ -296,14 +307,20 @@ class TestSumKernels:
             np.testing.assert_array_equal(
                 gk, offset + np.searchsorted(cdf, uk, side="right"))
 
-    @pytest.mark.parametrize("size", [200, 1000, 3000, MC_BLOCK + 808])
+    @pytest.mark.parametrize("size", [200, 1000, 3000, 5000, MC_BLOCK + 808])
     def test_table_runs_over_several_chunks(self, size):
         # A run of table entries is looked up a chunk of rows of about
-        # MC_BLOCK uniforms at a time (one row when a row is longer), with
-        # the totals of one scalar call per entry on the same stream.
+        # 2 * MC_BLOCK uniforms at a time (one row when a row is longer),
+        # with the totals of one scalar call per entry on the same stream:
+        # 5000 trials take chunks of 3, 3 and 1 of the 7 entries.
         model = StochasticModel(0.4)
         w = np.array([0.3, 1.0, 2.3, 0.0, 1.7, 0.5, 3.0])
         n = np.array([40, 12, 30, 7, 25, 60, 9])
+        rows = max(1, 2 * MC_BLOCK // size)
+        chunks = [np.arange(7)[entries].size for entries, _ in
+                  sample_stream_sums(w, model, n, size, np.zeros(7, int),
+                                     (stream(4, "chunks"),))]
+        assert chunks == [min(rows, 7 - k) for k in range(0, 7, rows)]
         g, ref = stream(4, "chunks"), stream(4, "chunks")
         before = _sum_cdf.cache_info()
         got = sample_pulse_sums(w, model, g, n, size)
@@ -554,6 +571,17 @@ class TestArrayForm:
     def test_non_finite_weight_rejected(self, w):
         with pytest.raises(ValueError, match="finite"):
             pulse_distribution(w, StochasticModel(0.4))
+
+    def test_weight_whose_outcomes_overflow_rejected(self):
+        # floor(w) + 2 must fit an int64: the largest double below 2**63
+        # does, with room to spare, and 2**63 does not.
+        below = np.nextafter(2.0**63, 0.0)
+        values, _ = pulse_distribution(below, StochasticModel(0.4))
+        assert values.tolist() == [2**63 - 1025, 2**63 - 1024,
+                                   2**63 - 1023, 2**63 - 1022]
+        for w in (2.0**63, [1.0, 1.0e+19]):
+            with pytest.raises(ValueError, match=r"below 2\*\*63"):
+                pulse_distribution(w, StochasticModel(0.4))
 
     @pytest.mark.parametrize("n_pulses, size", [(-1, 10), (-5, 1),
                                                 ([3, -2], 4)])
