@@ -6,7 +6,6 @@ Exit codes: 0 on success, 2 on validation errors, 3 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from pathlib import Path
@@ -17,6 +16,7 @@ from .experiments import (
     calibrate_weight_law,
     emit_figure_data,
     expand_sweep,
+    read_csv,
     run_experiment,
     write_yaml,
 )
@@ -73,14 +73,7 @@ def _cmd_calibrate(args) -> int:
     path = Path(args.traces)
     if not path.exists():
         raise ValidationError("traces", f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    needed = {"h_z_mT", "n_pulses", "n_sk"}
-    if not rows or not needed.issubset(reader.fieldnames):
-        raise ValidationError(
-            "traces", f"CSV must have columns {sorted(needed)}")
-    result = calibrate_weight_law(rows)
+    result = calibrate_weight_law(read_csv(path))
     out = Path(args.out or "calibration.yaml")
     write_yaml(out, result)
     print(out)

@@ -207,7 +207,7 @@ def spec_from_dict(doc: dict, seed: int | None = None,
                    output_dir: str | None = None, preset: str | None = None,
                    trials: int | None = None) -> ExperimentSpec:
     """Resolve a document, after applying any command-line overrides to it,
-    and run its protocol's check on the resolved parameters.
+    and run its protocol's check, refusing any worst case that overflows.
 
     Besides the head fields, a document holds only the calibration block,
     its protocol's block, and the ``calibration_resolved`` record of a run
@@ -241,7 +241,13 @@ def spec_from_dict(doc: dict, seed: int | None = None,
             "overrides instead")
     params = resolve(PROTOCOLS[protocol].params, doc.get(protocol, {}),
                      protocol, cal)
-    PROTOCOLS[protocol].check(cal, params)
+    # The one overflow rule: each worst case the check returns, drawn one
+    # at a time, must be an int64 or a finite float.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for path, value in PROTOCOLS[protocol].check(cal, params) or ():
+            _expect(value <= np.iinfo(np.int64).max if isinstance(value, int)
+                    else abs(value) <= sys.float_info.max, path,
+                    "sets a worst case that overflows an int64 or a float")
     return ExperimentSpec(calibration=cal, calibration_source=source,
                           params=params, **head)
 

@@ -266,8 +266,11 @@ def weight_scale_current(cal: DeviceCalibration, j: float) -> float:
     threshold: ``(J^2 - J_th^2) / (J_ref^2 - J_th^2)``, clamped at zero."""
     if j <= 0:
         raise ValueError("current density must be positive")
-    return max(0.0, (j * j - cal.current_threshold**2)
-               / (cal.current_ref**2 - cal.current_threshold**2))
+    # numpy's squares, the same bits as Python's, overflow to inf, not raise.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        th2 = np.float64(cal.current_threshold) ** 2
+        return float(np.maximum(0.0, (j * j - th2)
+                                / (np.float64(cal.current_ref) ** 2 - th2)))
 
 
 def synaptic_weight(cal: DeviceCalibration, field, duration: float,

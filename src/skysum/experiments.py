@@ -8,8 +8,7 @@ produces byte-identical files.
 
 CSV files are formatted a column at a time, in blocks of rows:
 ``write_csv`` picks one formatter per column from the type its values
-share, the one ``_fmt`` picks for each of them, and formats a column of
-mixed types cell by cell.
+share, and formats a column of mixed types cell by cell.
 A figure emit takes a nucleation sweep's kind from ``summary.json``, so
 it reads one CSV file: its source, whose columns it copies as read.
 """
@@ -26,7 +25,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 import yaml
@@ -40,6 +39,7 @@ from .device import (
     PulseTrain,
     field_for_weight,
     synaptic_weight,
+    weight_from_field,
 )
 from .errors import (
     MissingArtifact,
@@ -74,23 +74,13 @@ from .transport import (
 # ---------------------------------------------------------------------------
 # deterministic writers
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
-
-
 def _format_column(column) -> list:
-    """``[_fmt(v) for v in column]``, with ``_fmt``'s type chain walked
-    once for the column when all its values share one type."""
+    """Each value as text: true or false, an integer in full, a float to 12
+    significant digits, else ``str``; one type walk for a one-type column."""
     kinds = set(map(type, column))
-    if len(kinds) != 1:
-        return list(map(_fmt, column))
-    kind = kinds.pop()
+    if len(kinds) > 1:
+        return [_format_column((value,))[0] for value in column]
+    kind = kinds.pop() if kinds else str
     if issubclass(kind, (bool, np.bool_)):
         return ["true" if v else "false" for v in column]
     if issubclass(kind, (int, np.integer)):
@@ -101,12 +91,12 @@ def _format_column(column) -> list:
 
 
 def _format_rows(rows: list):
-    """Every value of ``rows`` formatted by ``_fmt``; rows of equal length
-    a column at a time."""
+    """Every value of ``rows`` formatted by ``_format_column``; rows of
+    equal length a column at a time."""
     widths = set(map(len, rows))
     if len(widths) == 1 and widths != {0}:
         return zip(*map(_format_column, zip(*rows)))
-    return [list(map(_fmt, row)) for row in rows]
+    return list(map(_format_column, rows))
 
 
 #: Rows formatted at once, which bounds the formatted cells held in memory.
@@ -114,7 +104,7 @@ _CSV_BLOCK = 256
 
 
 def write_csv(path: Path, header, rows):
-    """Write ``header`` and ``rows``, every value formatted by ``_fmt``."""
+    """Write ``header`` and ``rows``, formatted by ``_format_column``."""
     rows = iter(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -139,12 +129,10 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     return obj
 
 
@@ -167,47 +155,43 @@ def write_yaml(path: Path, obj):
 #
 # Each runner takes its protocol's parameters, resolved against the table
 # beside it, as keyword arguments.  Checks that span two parameters or need
-# the calibration sit in the protocol's check, which ``spec_from_dict`` runs
-# on the resolved parameters, so they fail before any run starts.
+# the calibration, and the run's worst cases, sit in the protocol's check,
+# which ``spec_from_dict`` runs on the resolved parameters before any run.
 
-def _check_pulse(cal: DeviceCalibration, protocol: str, weight: float,
-                 duration: float, current_density: float) -> None:
-    """The pulse's current density must lie in the calibration's velocity
-    window, and some field must program ``weight`` with this pulse."""
-    j_min, j_max = cal.velocity_window
-    if not j_min <= current_density <= j_max:
-        raise ValidationError(f"{protocol}.current_density",
-                              f"must lie in the velocity window "
-                              f"[{j_min}, {j_max}]")
+def _most(w: float, pulses: int):
+    """The most ``pulses`` pulses at weight ``w`` draw, or inf past 2**63."""
+    return (math.floor(w) + 2) * pulses if w < 2.0**63 else math.inf
+
+
+def _pulse_worst_cases(cal: DeviceCalibration, protocol: str, path: str,
+                       params: dict, durations):
+    """Checks the pulse's current density against the velocity window and
+    its ``weight`` against the field that programs it at the first
+    duration; yields at ``path`` each duration's ``_most`` at that field."""
+    j, (j_min, j_max) = params["current_density"], cal.velocity_window
+    if not j_min <= j <= j_max:
+        raise ValidationError(f"{protocol}.current_density", f"must lie in "
+                              f"the velocity window [{j_min}, {j_max}]")
     try:
-        field_for_weight(cal, weight, duration, current_density)
+        field = field_for_weight(cal, params["weight"], durations[0], j)
     except OutOfRange as exc:
         raise ValidationError(f"{protocol}.weight", str(exc))
+    for duration in durations:
+        yield path, _most(synaptic_weight(cal, field, duration, j),
+                          params["pulses"])
 
 
-def _check_hall_voltage(cal: DeviceCalibration, protocol: str,
-                        params: dict, most: int) -> None:
-    """At ``most`` skyrmions, the most the run's zones can hold,
-    ``hall_voltage``'s mean must be a finite float, and with noise on its
-    variance too."""
-    if not math.isfinite(most * cal.per_skyrmion_voltage_mean):
-        raise ValidationError(
-            "calibration.overrides.per_skyrmion_voltage_mean",
-            f"the Hall voltage at {most} skyrmions is not a finite float")
-    if not params["noise"]:
-        return
-    var = 0.0
-    for path, count, std in (
-            ("calibration.overrides.per_skyrmion_voltage_std", most,
-             cal.per_skyrmion_voltage_std),
-            (f"{protocol}.sigma_meas", 1, params["sigma_meas"])):
-        try:
-            var += count * std**2
-        except OverflowError:
-            var = math.inf
-        if not math.isfinite(var):
-            raise ValidationError(path, f"the Hall-voltage variance at {most} "
-                                        "skyrmions is not a finite float")
+def _hall_worst_cases(cal: DeviceCalibration, protocol: str, params: dict,
+                      most):
+    """``hall_voltage``'s mean at ``most`` skyrmions, the most the run's
+    zones can hold, and with noise on its variance, term by term."""
+    yield ("calibration.overrides.per_skyrmion_voltage_mean",
+           most * np.float64(cal.per_skyrmion_voltage_mean))
+    if params["noise"]:
+        var = most * np.float64(cal.per_skyrmion_voltage_std) ** 2
+        yield "calibration.overrides.per_skyrmion_voltage_std", var
+        yield (f"{protocol}.sigma_meas",
+               var + np.float64(params["sigma_meas"]) ** 2)
 
 
 _P_BAR = Param("float", 0.4, minimum=0.0, maximum=1.0)
@@ -240,7 +224,7 @@ def _sweep_weights(cal: DeviceCalibration, sweep, values, field,
             for value in values]
 
 
-def _check_nucleation_sweep(cal: DeviceCalibration, params: dict) -> None:
+def _check_nucleation_sweep(cal: DeviceCalibration, params: dict):
     # A field below field_min is bad input.  Above field_max the weight
     # clamps to 0, and the run itself gives the RangeWarning.
     try:
@@ -251,16 +235,14 @@ def _check_nucleation_sweep(cal: DeviceCalibration, params: dict) -> None:
         raise ValidationError(
             "nucleation_sweep."
             + ("values" if params["sweep"] == "field" else "field"), str(exc))
-    # A repeat's total after ``pulses`` pulses is at most
-    # (floor(w) + 2) * pulses, which must fit an int64.
-    pulses = params["pulses"]
-    for value, w in zip(params["values"], weights):
-        if not (w < 2.0**63 and (math.floor(w) + 2) * pulses
-                <= np.iinfo(np.int64).max):
-            raise ValidationError(
-                "nucleation_sweep.values",
-                f"the weight {w} at {value} gives {pulses}-pulse totals "
-                "that overflow an int64")
+    # A field sweep fits a line through its slopes at increasing fields.
+    values = params["values"]
+    if params["sweep"] == "field" and len(values) >= 3:
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValidationError("nucleation_sweep.values", "must increase")
+        yield "nucleation_sweep.values", np.var(values) * len(values)
+    for w in weights:
+        yield "nucleation_sweep.values", _most(w, params["pulses"])
 
 
 def run_nucleation_sweep(cal: DeviceCalibration, seed: int, outdir: Path, *,
@@ -342,24 +324,22 @@ DETECTION_RUN = {
 }
 
 
-def _check_detection_run(cal: DeviceCalibration, params: dict) -> None:
+def _check_detection_run(cal: DeviceCalibration, params: dict):
     if not zone_within_track(DetectionZone(**params["zone"]), cal):
         raise ValidationError("detection_run.zone",
                               "must lie within the track")
-    _check_pulse(cal, "detection_run", params["weight"], params["duration"],
-                 params["current_density"])
-    _check_hall_voltage(cal, "detection_run", params,
-                        params["zone"]["capacity"])
-    # run_phases adds drift_rate * i to sample i of 1..samples.
-    samples = sum(params[k] for k in ("baseline", "pulses", "reset", "post"))
-    try:
-        drift = params["drift_rate"] * samples
-    except OverflowError:
-        drift = math.inf
-    if not math.isfinite(drift):
-        raise ValidationError("detection_run.drift_rate",
-                              f"the drift over {samples} samples is not a "
-                              "finite float")
+    yield from _pulse_worst_cases(cal, "detection_run", "detection_run.weight",
+                                  params, [params["duration"]])
+    capacity = params["zone"]["capacity"]
+    yield "detection_run.zone.capacity", capacity
+    yield from _hall_worst_cases(cal, "detection_run", params, capacity)
+    # run_phases adds drift_rate * i to the voltage of sample i of 1..s.
+    # The drift's 2-norm bounds the line drift_correct fits to it and, with
+    # the Hall mean at capacity added, every sample's mean.
+    s = sum(params[k] for k in ("baseline", "pulses", "reset", "post"))
+    yield "detection_run.drift_rate", abs(params["drift_rate"]) * (
+        math.sqrt(s * (s + 1) * (2 * s + 1) // 6) if s < 2**63
+        else math.inf) + capacity * np.float64(cal.per_skyrmion_voltage_mean)
 
 
 def run_detection_run(cal: DeviceCalibration, seed: int, outdir: Path, *,
@@ -416,15 +396,26 @@ FIG4_TWOTRACK = {
 }
 
 
-def _check_fig4_twotrack(cal: DeviceCalibration, params: dict) -> None:
+def _check_fig4_twotrack(cal: DeviceCalibration, params: dict):
     if len(params["durations"]) != 2:
         raise ValidationError("fig4_twotrack.durations",
                               "expected two numbers")
-    _check_pulse(cal, "fig4_twotrack", params["weight"],
-                 params["durations"][0], params["current_density"])
-    # build_crossbar gives both zones the default capacity.
-    most = 2 * default_capacity(DetectionZone.side, cal.skyrmion_diameter)
-    _check_hall_voltage(cal, "fig4_twotrack", params, most)
+    yield from _pulse_worst_cases(cal, "fig4_twotrack",
+                                  "fig4_twotrack.durations", params,
+                                  params["durations"])
+    # build_crossbar lays both zones from x = 5 to 11 um, centred across
+    # the track, and gives them default_capacity's floor of this ratio.
+    side, diameter = DetectionZone.side, cal.skyrmion_diameter
+    _, x1, y0, y1 = DetectionZone(5 + side / 2, cal.track_width / 2).bounds
+    for name, fits in (("track_length", x1 <= cal.track_length),
+                       ("track_width", 0 <= y0 and y1 <= cal.track_width)):
+        if not fits:
+            raise ValidationError(f"calibration.overrides.{name}",
+                                  "too small to hold the zones")
+    yield ("calibration.overrides.skyrmion_diameter",
+           (np.float64(side) / (3.0 * diameter * 1e-3)) ** 2)
+    yield from _hall_worst_cases(cal, "fig4_twotrack", params,
+                                 2.0 * default_capacity(side, diameter))
 
 
 def run_fig4_twotrack(cal: DeviceCalibration, seed: int, outdir: Path, *,
@@ -536,11 +527,26 @@ NETSIM = {
 }
 
 
-def _check_netsim(cal: DeviceCalibration, params: dict) -> None:
+def _check_netsim(cal: DeviceCalibration, params: dict):
     rows = params["weights"].shape[0]
     if len(params["input"]) != rows:
         raise ValidationError("netsim.input",
                               f"length must match {rows} rows")
+    # quantize scales the largest |weight| to the ceiling, the weight at
+    # field_min.  No column counts more than the ceiling's total over the
+    # input, no output more than that count in readout units, and the std
+    # squares deviations of at most twice that.
+    ceiling = weight_from_field(cal, cal.field_min)
+    scale = np.abs(params["weights"]).max(initial=0.0) / np.float64(ceiling)
+    yield "calibration.overrides.field_min", scale
+    yield "calibration.overrides.field_min", _most(ceiling, 1)
+    most = _most(ceiling, sum(params["input"]))
+    yield "netsim.input", most
+    out = most * (scale if params["readout"] == "identity"
+                  else np.float64(cal.per_skyrmion_voltage_mean))
+    yield "netsim.input", out
+    if params["trials"] > 1:
+        yield "netsim.trials", params["trials"] * (2 * out) ** 2
 
 
 def run_netsim(cal: DeviceCalibration, seed: int, outdir: Path, *,
@@ -562,8 +568,8 @@ def run_netsim(cal: DeviceCalibration, seed: int, outdir: Path, *,
                                      else np.zeros(out.shape[1]))
     write_csv(outdir / "outputs.csv", tuple(columns), zip(*columns.values()))
 
-    q_err = float(np.max(np.abs(layer.quantized - layer.weight_matrix))) \
-        if weights.size else 0.0
+    q_err = float(np.abs(layer.quantized - layer.weight_matrix).max(
+        initial=0.0))
     return {
         "states": states,
         "scale": layer.scale,
@@ -575,12 +581,14 @@ def run_netsim(cal: DeviceCalibration, seed: int, outdir: Path, *,
 class Protocol(NamedTuple):
     """A protocol's runner, its parameter table, the check of the resolved
     parameters against each other and the calibration, and its default
-    calibration preset.  ``check(cal, params)`` raises ValidationError;
-    the runner is called as ``run(cal, seed, outdir, **params)``."""
+    calibration preset.  ``check(cal, params)`` raises ValidationError and
+    may return the run's worst cases as (dotted path, value) pairs, which
+    ``spec_from_dict`` refuses if they overflow; the runner is called as
+    ``run(cal, seed, outdir, **params)``."""
 
     run: Callable[..., dict]
     params: dict
-    check: Callable[[DeviceCalibration, dict], None] = lambda cal, params: None
+    check: Callable[..., Iterable | None] = lambda cal, params: None
     preset: str = "paper2024"
 
 
@@ -632,31 +640,18 @@ def run_experiment(spec: ExperimentSpec) -> Path:
 
 
 def _write_run(spec: ExperimentSpec, outdir: Path) -> None:
+    head = {"name": spec.name, "protocol": spec.protocol, "seed": spec.seed}
     write_yaml(outdir / "config_snapshot.yaml", {
-        "name": spec.name,
-        "protocol": spec.protocol,
-        "seed": spec.seed,
-        "output_dir": spec.output_dir,
+        **head, "output_dir": spec.output_dir,
         "calibration": spec.calibration_source,
         "calibration_resolved": spec.calibration.to_dict(),
-        spec.protocol: spec.params,
-    })
-    write_json(outdir / "manifest.json", {
-        "name": spec.name,
-        "protocol": spec.protocol,
-        "seed": spec.seed,
-        "versions": {
-            "skysum": __version__,
-            "numpy": np.__version__,
-            "python": "%d.%d" % sys.version_info[:2],
-        },
-    })
-
+        spec.protocol: spec.params})
+    write_json(outdir / "manifest.json", {**head, "versions": {
+        "skysum": __version__, "numpy": np.__version__,
+        "python": "%d.%d" % sys.version_info[:2]}})
     summary = PROTOCOLS[spec.protocol].run(spec.calibration, spec.seed,
                                            outdir, **spec.params)
-    summary = {"name": spec.name, "protocol": spec.protocol,
-               "seed": spec.seed, **summary}
-    write_json(outdir / "summary.json", summary)
+    write_json(outdir / "summary.json", {**head, **summary})
 
 
 class Figure(NamedTuple):
@@ -786,13 +781,10 @@ def expand_sweep(doc: dict) -> list[dict]:
         if not isinstance(values, list) or not values:
             raise ValidationError(f"sweep.{key}", "expected a value list")
     base = {k: v for k, v in doc.items() if k != "sweep"}
-    combos = [{}]
-    for key, values in items:
-        combos = [dict(c, **{key: v}) for c in combos for v in values]
     docs = []
-    for i, combo in enumerate(combos):
+    for i, combo in enumerate(itertools.product(*(v for _, v in items))):
         d = base
-        for key, value in combo.items():
+        for (key, _), value in zip(items, combo):
             d = with_dotted(d, key, value)
         docs.append(dict(d, name=f"{base.get('name', 'sweep')}-{i:03d}"))
     return docs

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import (
+    CrossbarConfig,
     InputVector,
-    build_crossbar,
     monte_carlo_column_counts,
 )
 from .device import (
@@ -28,6 +28,7 @@ from .device import (
 )
 from .nucleation import StochasticModel
 from .readout import hall_voltage
+from .transport import DetectionZone
 
 IDENTITY = "identity"
 LINEAR_AHE = "linear_ahe"
@@ -170,12 +171,12 @@ def infer(layer: QuantizedLayer, input_vector, mode: str = "expected",
     if stochastic is None:
         raise ValueError("stochastic mode needs a StochasticModel")
 
-    # Differential pairs as a 2L-column crossbar.  Ideal transport reads
-    # no zone geometry, so every zone may sit on the same site.
+    # Differential pairs as a 2L-column crossbar.  Ideal transport reads no
+    # geometry or resistance: every track shares one row of zones that only
+    # carry a capacity no int64 count reaches, so nothing is clamped.
     weights = np.concatenate([layer.w_pos, layer.w_neg], axis=1)
-    # Unclamped: a capacity that no int64 count reaches.
-    config = build_crossbar(cal, weights, zone_pitch=0.0,
-                            capacity=np.iinfo(np.int64).max)
+    zone = DetectionZone(0.0, 0.0, capacity=np.iinfo(np.int64).max)
+    config = CrossbarConfig(weights, ((zone,) * 2 * l,) * m, (125.0,) * m)
     pulses = InputVector(tuple(
         PulseTrain(int(n), cal.current_ref, cal.duration_ref) for n in x))
     counts = monte_carlo_column_counts(config, pulses, stochastic,

@@ -133,8 +133,13 @@ class DetectionZone:
 
 
 def default_capacity(side_um: float, diameter_nm: float) -> int:
-    """Crowding limit from a 3-diameter spacing heuristic; at least one."""
-    return max(1, int(math.floor((side_um / (3.0 * diameter_nm * 1e-3)) ** 2)))
+    """Crowding limit from a 3-diameter spacing heuristic; at least one.
+    A limit that is not a finite number raises ValueError."""
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = (np.float64(side_um) / (3.0 * diameter_nm * 1e-3)) ** 2
+    if not np.isfinite(ratio):
+        raise ValueError(f"the zone capacity {ratio} is not a finite number")
+    return max(1, math.floor(ratio))
 
 
 def zone_within_track(zone: DetectionZone, cal: DeviceCalibration) -> bool:

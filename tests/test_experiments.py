@@ -1,15 +1,21 @@
+import copy
+import dataclasses
 import inspect
 import json
+import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
-from skysum import (MissingArtifact, ValidationError, cli, experiments,
-                    paper2024)
+from skysum import (DeviceCalibration, MissingArtifact, ValidationError, cli,
+                    experiments, paper2024)
 from skysum.config import load_document, spec_from_dict, spec_from_file
 from skysum.experiments import (
     FIGURE_IDS,
@@ -33,6 +39,30 @@ def make_spec(tmp_path, name, protocol, seed=0, params=None, extra=None):
 
 def summary_of(run_dir):
     return json.loads((run_dir / "summary.json").read_text())
+
+
+def _json_numbers(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for value in obj:
+            yield from _json_numbers(value)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield obj
+
+
+def _numbers(path):
+    """Every number in a CSV or JSON file: the CSV cells that parse as
+    floats, and the JSON ints and floats."""
+    if path.suffix == ".json":
+        yield from _json_numbers(json.loads(path.read_text()))
+        return
+    for row in read_csv(path):
+        for cell in row.values():
+            try:
+                yield float(cell)
+            except ValueError:
+                pass  # a phase, a preset or a boolean
 
 
 class TestSpecValidation:
@@ -171,6 +201,27 @@ class TestSpecValidation:
         ("fig4_twotrack", {"noise": False, "calibration": {
             "overrides": {"per_skyrmion_voltage_mean": 1.0e+307}}},
          "calibration.overrides.per_skyrmion_voltage_mean"),
+        # A finite drift whose fitted line overflows, a capacity beyond any
+        # float, a capacity ratio that overflows, and tracks too small for
+        # the crossbar's zones.
+        ("detection_run", {"drift_rate": 2.0e+306},
+         "detection_run.drift_rate"),
+        ("detection_run", {"zone": {"capacity": 10**400}},
+         "detection_run.zone.capacity"),
+        ("fig4_twotrack", {"calibration": {
+            "overrides": {"skyrmion_diameter": 1.0e-160}}},
+         "calibration.overrides.skyrmion_diameter"),
+        ("fig4_twotrack", {"calibration": {
+            "overrides": {"track_length": 1.0e-9}}},
+         "calibration.overrides.track_length"),
+        ("fig4_twotrack", {"calibration": {
+            "overrides": {"track_width": 1.0e-9}}},
+         "calibration.overrides.track_width"),
+        # A Hall mean and a drift, each finite, whose sum is not.
+        ("detection_run", {"drift_rate": 1.0e+306, "zone": {"capacity": 20},
+                           "calibration": {"overrides": {
+                               "per_skyrmion_voltage_mean": 8.5e+306}}},
+         "detection_run.drift_rate"),
     ])
     def test_bad_value_exits_2_before_run(self, tmp_path, capsys, protocol,
                                           params, path):
@@ -189,6 +240,33 @@ class TestSpecValidation:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert list(tmp_path.iterdir()) == [spec]
 
+    def test_largest_drift_rate_writes_finite_numbers(self, tmp_path):
+        # Positive floats order as their bit patterns do, so a bisection of
+        # the patterns finds the largest drift_rate the default plan takes.
+        def rate_of(bits):
+            return float(np.int64(bits).view(np.float64))
+
+        def accepted(bits):
+            try:
+                make_spec(tmp_path, "d", "detection_run",
+                          params={"drift_rate": rate_of(bits)})
+            except ValidationError:
+                return False
+            return True
+
+        lo, hi = 0, int(np.float64(sys.float_info.max).view(np.int64))
+        assert accepted(lo) and not accepted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        rate = rate_of(lo)
+        assert rate > 1.0e+306
+        for sub, signed in (("up", rate), ("down", -rate)):
+            run_dir = run_experiment(make_spec(
+                tmp_path / sub, "d", "detection_run",
+                params={"drift_rate": signed}))
+            for name in ("trace_corrected.csv", "summary.json"):
+                assert all(map(math.isfinite, _numbers(run_dir / name)))
 
     @pytest.mark.parametrize("protocol, sweep, argv, path", [
         ("pareto", {"pareto.m": [5, 0]}, [], "pareto.m"),
@@ -231,6 +309,113 @@ class TestSpecValidation:
         assert spec.calibration_source == {
             "preset": "paper2024_fig4",
             "overrides": {"track_length": 170.0}}
+
+
+#: Small documents whose float fields the worst-case fuzz test draws.
+_FUZZ_BASE = {
+    "nucleation_sweep": {"repeats": 3, "pulses": 4},
+    "detection_run": {"noise": True, "p_bar": 0.4},
+    "fig4_twotrack": {"pulses": 5},
+    "montecarlo_sigma": {"trials": 1000, "p_bars": [0.4], "n_pulses": [5]},
+    "pareto": {"n_pulse_max": 5},
+    "netsim": {"weights": [[1.0, -0.5], [0.25, 0.75]], "input": [12, 8],
+               "trials": 20},
+}
+
+_CAL_FLOATS = [f.name for f in dataclasses.fields(DeviceCalibration)
+               if f.type == "float"]
+
+_SPECIAL = [0.0, 1e-300, -1e-300, 1e300, 1.7e308, math.nan, math.inf,
+            -math.inf]
+
+
+def _float_fields(table: dict, params: dict, path: tuple = ()):
+    """(path, Param) of every float in a protocol block: its "float"
+    fields, nested blocks included, and each entry of its "floats" lists,
+    whose path ends in the entry's index into ``params``."""
+    for key, param in table.items():
+        if isinstance(param, dict):
+            yield from _float_fields(param, params[key], path + (key,))
+        elif param.kind == "float":
+            yield path + (key,), param
+        elif param.kind == "floats":
+            for i in range(len(params[key])):
+                yield path + (key, i), param
+
+
+def _fuzz_doc(protocol: str, params=(), **overrides) -> dict:
+    """The small document of ``protocol``, with ``params`` set in its block
+    and the calibration ``overrides``."""
+    return {"name": "fuzz", "protocol": protocol,
+            protocol: {**copy.deepcopy(_FUZZ_BASE[protocol]), **dict(params)},
+            "calibration": {"overrides": overrides}}
+
+
+@st.composite
+def _documents(draw):
+    """A small document of some protocol with one or two of its float
+    fields, or of the calibration's, set to a drawn value."""
+    protocol = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    doc = _fuzz_doc(protocol)
+    params = spec_from_dict(doc).params
+    fields = [((protocol, *path), param) for path, param in
+              _float_fields(PROTOCOLS[protocol].params, params)]
+    fields += [(("calibration", "overrides", name), None)
+               for name in _CAL_FLOATS]
+    # A list of distinct fields would reject more draws than it keeps.
+    first = draw(st.sampled_from(fields))
+    second = draw(st.lists(st.sampled_from(
+        [f for f in fields if f is not first]), max_size=1))
+    for path, param in [first, *second]:
+        bounds = [] if param is None else [
+            b for b in (param.minimum, param.maximum) if b is not None]
+        value = draw(st.sampled_from(_SPECIAL + bounds) | st.floats())
+        if isinstance(path[-1], int):
+            *path, i = path
+            entries = list(params[path[-1]])
+            entries[i] = value
+            value = entries
+        block = doc
+        for name in path[:-1]:
+            block = block.setdefault(name, {})
+        block[path[-1]] = value
+    return doc
+
+
+class TestWorstCaseRule:
+    @settings(derandomize=True, deadline=None)
+    @given(_documents())
+    # Holes that random draws of the same strategy found, each once an
+    # overflow, a traceback or an exit 3: a field sweep out of order or
+    # spread past a float's square root, a second track's weight beyond
+    # 2**63, a current law whose squares overflow or whose span underflows,
+    # and a netsim ceiling too large for its counts or too small for its
+    # outputs' std.
+    @example(_fuzz_doc("nucleation_sweep", {"values": [20.0, 1e300, 26.0]}))
+    @example(_fuzz_doc("nucleation_sweep", {"values": [20.0, 26.0, 1e300]}))
+    @example(_fuzz_doc("fig4_twotrack", {"durations": [50.0, 1e300]}))
+    @example(_fuzz_doc("nucleation_sweep", current_ref=8.6e307))
+    @example(_fuzz_doc("detection_run", current_ref=1.7e308))
+    @example(_fuzz_doc("fig4_twotrack", current_ref=1e-300,
+                       current_threshold=0.0))
+    @example(_fuzz_doc("netsim", field_min=-5.5e153))
+    @example(_fuzz_doc("netsim", weight_field_slope=-4.5e-280))
+    def test_document_is_refused_or_runs_finite(self, doc):
+        """A document with one or two float fields drawn, from a protocol's
+        ``Param`` table or the calibration, is refused by ``spec_from_dict``
+        or runs to a directory whose CSV and JSON numbers are all finite.
+
+        Integer counts are not drawn: a count of 1e12 is a size to budget,
+        not a value that overflows, and is left to a work budget."""
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                spec = spec_from_dict(dict(doc, output_dir=tmp))
+            except ValidationError:
+                return
+            run_dir = run_experiment(spec)
+            for path in run_dir.iterdir():
+                if path.suffix in (".csv", ".json"):
+                    assert all(map(math.isfinite, _numbers(path))), path.name
 
 
 def _flat_names(table: dict, prefix: str = ""):
@@ -434,6 +619,22 @@ class TestProtocols:
         assert len(schedule) == 8  # 2x2 sites, two polarity columns each
         summary = summary_of(run_dir)
         assert summary["states"] == 15
+
+    @pytest.mark.parametrize("readout", ("identity", "linear_ahe"))
+    def test_netsim_reads_no_track_geometry(self, tmp_path, readout):
+        # Ideal transport lays out no zones, so neither track size moves
+        # a byte of the outputs.
+        outputs = []
+        for sub, overrides in (("a", {}), ("b", {"track_width": 1.0e-9}),
+                               ("c", {"track_length": 1.0e-9})):
+            spec = make_spec(tmp_path / sub, "net", "netsim", seed=2,
+                             params={"weights": [[1.0, -0.5], [0.25, 0.75]],
+                                     "input": [12, 8], "trials": 50,
+                                     "readout": readout},
+                             extra={"calibration": {"overrides": overrides}})
+            outputs.append(
+                (run_experiment(spec) / "outputs.csv").read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_netsim_weights_from_csv(self, tmp_path):
         wfile = tmp_path / "w.csv"

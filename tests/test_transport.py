@@ -10,6 +10,7 @@ from skysum import (
     PulseTrain,
     SkyrmionPopulation,
     advance,
+    build_crossbar,
     default_capacity,
     notch_position,
     reverse_erase,
@@ -247,6 +248,16 @@ class TestDetectionZone:
         # A zone holds at least one skyrmion, so the default is always a
         # valid capacity.
         assert default_capacity(6.0, 3000.0) == 1
+
+    @pytest.mark.parametrize("diameter", [1.0e-160, 5e-324])
+    def test_default_capacity_that_is_not_finite_refused(self, diameter):
+        # (side / 3 d)**2 overflows, or 3 d underflows to zero: a ValueError,
+        # which the command line reports with exit 3, not a traceback.
+        with pytest.raises(ValueError, match="not a finite number"):
+            default_capacity(6.0, diameter)
+        cal = DeviceCalibration(skyrmion_diameter=diameter)
+        with pytest.raises(ValueError, match="not a finite number"):
+            build_crossbar(cal, [[1.0]])
 
 
 class TestApplyCapacity:
